@@ -55,4 +55,3 @@ from .montecarlo import (
 )
 from .config import ConfigError, load_config, parse_config_text
 
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -10,27 +10,25 @@ Exit codes: 0 ok, 1 config error, 2 solver blow-up, 3 admissibility failed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from fractions import Fraction
 
 from . import __version__
-from .config import ConfigError, build_model, load_config, model_to_config_dict
+from .config import ConfigError, _parse_number, build_model, load_config, model_to_config_dict
 from .csvio import (
-    fmt,
     write_admissibility_csv,
     write_csv,
     write_g_csv,
     write_simulation_csv,
     write_strategy_csv,
 )
-from .model import HestonParams, InsuranceParams, ValidationError, validate_config
+from .model import ValidationError, validate_config
 from .montecarlo import estimate_reward, simulate_paths
 from .odes import BlowUpError, solve_g
-from .presets import CASES, XI, baseline_model
+from .presets import XI, baseline_model
 from .strategy import (
     check_admissibility,
     equilibrium_strategy,
@@ -42,12 +40,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_BLOWUP = 2
 EXIT_ADMISSIBILITY = 3
-
-SWEEPABLE = {
-    "eta1": "ins", "eta2": "ins", "lambda1": "ins", "mu1": "ins", "mu2": "ins",
-    "r": "heston", "xi": "heston", "kappa": "heston", "theta": "heston",
-    "sigma": "heston", "rho": "heston", "v0": "heston",
-}
 
 REPRODUCE_SWEEPS = {
     # figure id -> (param, values, observable, heston overrides)
@@ -75,19 +67,12 @@ def _valid_case_ids():
     return ids
 
 
-def _parse_value(token):
-    if "/" in token:
-        return float(Fraction(token))
-    return float(token)
-
-
-def _override_model(model, param, value):
-    kind = SWEEPABLE[param]
-    if kind == "ins":
-        ins = InsuranceParams(**{**model.ins.__dict__, param: value})
-        return validate_config(ins, model.heston, model.dist, model.horizon)
-    heston = HestonParams(**{**model.heston.__dict__, param: value})
-    return validate_config(model.ins, heston, model.dist, model.horizon)
+def _params_holding(model, param):
+    """Name of the model part ("ins" or "heston") whose field is param."""
+    for part in ("ins", "heston"):
+        if param in {f.name for f in dataclasses.fields(getattr(model, part))}:
+            return part
+    raise ConfigError(f"unknown sweep parameter {param!r}")
 
 
 def _write_manifest(outdir, subcommand, config_dict, flags, timings):
@@ -110,6 +95,8 @@ def _resolve_model(args):
     if args.from_manifest:
         with open(args.from_manifest, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
+        if "config" not in manifest:
+            raise ConfigError(f"manifest {args.from_manifest} has no 'config' entry")
         cfg = dict(manifest["config"])
         model, seed = build_model(cfg)
         return model, seed, manifest.get("flags", {})
@@ -181,7 +168,7 @@ def _parse_strategy_flag(model, token):
         parts = token[len("const:"):].split(",")
         if len(parts) != 2:
             raise ConfigError(f"const strategy must be const:q,pi, got {token!r}")
-        return (_parse_value(parts[0]), _parse_value(parts[1]))
+        return (_parse_number(parts[0]), _parse_number(parts[1]))
     raise ConfigError(f"unknown strategy {token!r}")
 
 
@@ -219,7 +206,10 @@ def cmd_simulate(args):
 
 
 def _sweep_cell(model, param, value, observable):
-    cell = _override_model(model, param, value)
+    part = _params_holding(model, param)
+    changed = dataclasses.replace(getattr(model, part), **{param: value})
+    cell = dataclasses.replace(model, **{part: changed})
+    cell = validate_config(cell.ins, cell.heston, cell.dist, cell.horizon)
     grid = cell.horizon.grid()
     if observable == "q_hat":
         # analytic, no ODE solve needed
@@ -228,22 +218,18 @@ def _sweep_cell(model, param, value, observable):
     return grid, spath.pi_hat
 
 
-def run_sweep(model, param, values, observable, threads=1):
-    """Evaluate the observable over the parameter grid.
+def run_sweep(model, param, values, observable):
+    """Evaluate the observable over the parameter grid, one cell at a time.
 
     Returns rows (param, value, t, observable, result). In pi_diff mode
     the first value is the baseline and rows hold pi_hat(t; value) -
     pi_hat(t; baseline) for the remaining values.
     """
-    if param not in SWEEPABLE:
-        raise ConfigError(f"unknown sweep parameter {param!r}")
+    _params_holding(model, param)
     if observable not in ("q_hat", "pi_hat", "pi_diff"):
         raise ConfigError(f"unknown observable {observable!r}")
     base_obs = "pi_hat" if observable == "pi_diff" else observable
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        cells = list(
-            pool.map(lambda v: _sweep_cell(model, param, v, base_obs), values)
-        )
+    cells = [_sweep_cell(model, param, v, base_obs) for v in values]
     rows = []
     if observable == "pi_diff":
         grid0, baseline = cells[0]
@@ -271,11 +257,11 @@ def cmd_sweep(args):
         if key not in flags:
             raise ConfigError(f"sweep requires --{key}")
     values = (
-        [_parse_value(tok) for tok in flags["values"].split(",")]
+        [_parse_number(tok) for tok in flags["values"].split(",")]
         if isinstance(flags["values"], str)
         else [float(v) for v in flags["values"]]
     )
-    rows = run_sweep(model, flags["param"], values, flags["observable"], threads=args.threads)
+    rows = run_sweep(model, flags["param"], values, flags["observable"])
     timings = {"sweep": time.perf_counter() - t0}
     os.makedirs(args.out, exist_ok=True)
     write_csv(
@@ -302,7 +288,7 @@ def cmd_reproduce(args):
     T = 10.0 if horizon_tag == "T10" else 100.0
     t0 = time.perf_counter()
     model = baseline_model(case=case, T=T, **overrides)
-    rows = run_sweep(model, param, values, observable, threads=args.threads)
+    rows = run_sweep(model, param, values, observable)
     timings = {"reproduce": time.perf_counter() - t0}
     os.makedirs(args.out, exist_ok=True)
     name = case_id.replace("/", "_") + ".csv"
@@ -333,7 +319,7 @@ def build_parser():
     def common(p):
         p.add_argument("--config", help="path to a key=value config file")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--threads", type=int, default=1, help="worker threads for sweeps")
+        p.add_argument("--threads", type=int, default=1, help="ignored; sweeps run in one thread")
         p.add_argument("--from-manifest", help="re-run from a previously written manifest")
 
     p = sub.add_parser("solve", help="solve the exponent ODEs and emit strategy CSVs")

@@ -57,7 +57,12 @@ class PathBatch:
 @dataclass
 class SimulationResult:
     """Per-atom utility estimates with standard errors, certainty
-    equivalents, and the probability-weighted reward."""
+    equivalents, and the probability-weighted reward.
+
+    weights holds the reward's per-path delta-method terms,
+    sum_i p_i u_i / (-gamma_i mean_i): the linearization of the reward
+    around the utility means, whose sample spread gives its standard error.
+    """
 
     gammas: np.ndarray
     utility_mean: np.ndarray
@@ -66,6 +71,7 @@ class SimulationResult:
     reward: float
     n_paths: int
     seed: int
+    weights: np.ndarray
 
 
 StrategySpec = Union[StrategyPath, str, Tuple[float, float]]
@@ -173,7 +179,8 @@ def estimate_reward(model: ValidatedModel, batch: PathBatch) -> SimulationResult
     means = np.empty(len(gammas))
     ses = np.empty(len(gammas))
     ces = np.empty(len(gammas))
-    for i, gamma in enumerate(gammas):
+    weights = np.zeros(batch.n_paths)
+    for i, (gamma, p) in enumerate(zip(gammas, probs)):
         u = _utilities(batch.x_terminal, gamma)
         mean = float(np.mean(u))
         if mean >= 0.0:
@@ -182,6 +189,7 @@ def estimate_reward(model: ValidatedModel, batch: PathBatch) -> SimulationResult
         means[i] = mean
         ses[i] = float(np.std(u, ddof=1) / math.sqrt(batch.n_paths)) if batch.n_paths > 1 else 0.0
         ces[i] = _inverse_utility(mean, gamma)
+        weights += p * u / (-gamma * mean)
     reward = float(np.dot(probs, ces))
     return SimulationResult(
         gammas=gammas,
@@ -191,6 +199,7 @@ def estimate_reward(model: ValidatedModel, batch: PathBatch) -> SimulationResult
         reward=reward,
         n_paths=batch.n_paths,
         seed=batch.seed,
+        weights=weights,
     )
 
 
@@ -215,21 +224,6 @@ def _perturbed_path(model, base: StrategyPath, q, pi, h) -> StrategyPath:
     return StrategyPath(grid=base.grid, q_hat=q_arr, pi_hat=pi_arr, regime=base.regime)
 
 
-def _reward_and_gradient_terms(model, batch):
-    """Per-path linearization of the reward around the utility means
-    (delta method); returns (reward, per-path weight array)."""
-    gammas = np.asarray(model.dist.gammas)
-    probs = np.asarray(model.dist.probs)
-    reward = 0.0
-    w = np.zeros(batch.n_paths)
-    for gamma, p in zip(gammas, probs):
-        u = _utilities(batch.x_terminal, gamma)
-        mean = float(np.mean(u))
-        reward += p * _inverse_utility(mean, gamma)
-        w += p * u / (-gamma * mean)
-    return reward, w
-
-
 def equilibrium_spot_check(
     model: ValidatedModel,
     gsol: GSolution,
@@ -247,24 +241,22 @@ def equilibrium_spot_check(
     standard errors is flagged, never raised.
     """
     base = equilibrium_strategy(model, gsol)
-    batch_eq = simulate_paths(model, base, n_paths, seed)
-    reward_eq, w_eq = _reward_and_gradient_terms(model, batch_eq)
+    eq = estimate_reward(model, simulate_paths(model, base, n_paths, seed))
     rows = []
     for q, pi in perturbations:
         pert = _perturbed_path(model, base, q, pi, h)
-        batch_p = simulate_paths(model, pert, n_paths, seed)
-        reward_p, w_p = _reward_and_gradient_terms(model, batch_p)
-        diff = w_eq - w_p
+        res = estimate_reward(model, simulate_paths(model, pert, n_paths, seed))
+        diff = eq.weights - res.weights
         se_diff = float(np.std(diff, ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
-        rate = (reward_eq - reward_p) / h
+        rate = (eq.reward - res.reward) / h
         rate_se = se_diff / h
         rows.append(
             SpotCheckRow(
                 q=q,
                 pi=pi,
                 h=h,
-                reward_equilibrium=reward_eq,
-                reward_perturbed=reward_p,
+                reward_equilibrium=eq.reward,
+                reward_perturbed=res.reward,
                 diff_rate=rate,
                 diff_rate_se=rate_se,
                 violation=rate < -3.0 * rate_se,

@@ -6,7 +6,8 @@ time to maturity), g2 (a coupled Riccati-type system, solved numerically
 by a one-predictor one-corrector modified Euler scheme on the
 time-reversed ODE), and g3 (a pure quadrature once g1, g2 and the
 retention path are known). A single-atom closed form for g2 is kept as
-an independent oracle.
+an independent oracle. The formulas that the solver, the strategy and the
+diagnostics share (q_hat, pi_bar, the g2 right side) live here, once each.
 """
 
 from __future__ import annotations
@@ -56,9 +57,7 @@ class RiccatiConstants:
 class GSolution:
     """Time-gridded ansatz exponents, one row per aversion atom.
 
-    g1, g2, g3 have shape (n_atoms, M+1); nonpositive_g2[i] is True when
-    g2 of atom i stays <= 0 on the whole grid (the sign hypothesis of the
-    admissibility result).
+    g1, g2, g3 have shape (n_atoms, M+1).
     """
 
     grid: np.ndarray
@@ -66,11 +65,10 @@ class GSolution:
     g2: np.ndarray
     g3: np.ndarray
     step: float
-    nonpositive_g2: np.ndarray
 
 
 def g1_closed(t, gamma, r, T):
-    """g1(t) = -gamma * e^{r(T-t)}; accepts scalar or array t."""
+    """g1(t) = -gamma * e^{r(T-t)}; t and gamma broadcast as numpy arrays."""
     return -gamma * np.exp(r * (T - np.asarray(t, dtype=float)))
 
 
@@ -88,6 +86,48 @@ def g2_closed_single(t, heston: HestonParams, T):
         return (k.k1 / (2.0 * k.k2)) * (1.0 - np.exp(-k.k2 * tau))
     e = np.expm1(k.k4 * tau)
     return k.k1 * e / (2.0 * k.k4 + (k.k2 + k.k4) * e)
+
+
+def retention_ratio(model: ValidatedModel) -> float:
+    """a*eta2 / (b^2 * E[gamma]) — the undiscounted retained proportion.
+
+    a = lambda1*mu1 and b^2 = lambda1*mu2, so the claim intensity cancels;
+    evaluating the reduced form keeps the ratio exactly intensity-free
+    instead of merely up to rounding.
+    """
+    ins = model.ins
+    return ins.mu1 * ins.eta2 / (ins.mu2 * model.mean_gamma)
+
+
+def q_hat(model: ValidatedModel, t):
+    """Analytic retained proportion q_hat(t); no ODE dependence."""
+    t = np.asarray(t, dtype=float)
+    return retention_ratio(model) * np.exp(-model.heston.r * (model.horizon.T - t))
+
+
+def pi_bar(heston: HestonParams, mean_gamma, weighted_g2):
+    """Undiscounted investment kernel (xi + rho*sigma*sum_j p_j g2_j) / E[gamma].
+
+    weighted_g2 is sum_j p_j g2_j, a float or an array over the grid;
+    pi_hat(t) = pi_bar(t) * e^{-r(T-t)}.
+    """
+    return (heston.xi + heston.rho * heston.sigma * weighted_g2) / mean_gamma
+
+
+def g2_right_side(heston: HestonParams):
+    """The right side F(pg, h) of one atom's g2 equation, -dg2/dt = F.
+
+    pg is pi_hat * g1 of the atom and h its g2; both may be floats or
+    arrays. The atoms couple only through pi_hat (see pi_bar).
+    """
+    xi, kappa = heston.xi, heston.kappa
+    rs = heston.rho * heston.sigma
+    half_s2 = 0.5 * heston.sigma ** 2
+
+    def right_side(pg, h):
+        return xi * pg + 0.5 * (pg * pg) - kappa * h + half_s2 * (h * h) + rs * pg * h
+
+    return right_side
 
 
 def solve_g2_coupled(model: ValidatedModel) -> np.ndarray:
@@ -113,22 +153,21 @@ def solve_g2_coupled(model: ValidatedModel) -> np.ndarray:
     neg_gammas = [-float(g) for g in model.dist.gammas]
     probs = np.asarray(model.dist.probs, dtype=float)
     e_gamma = model.mean_gamma
-    xi, kappa, r = hs.xi, hs.kappa, hs.r
-    rs = hs.rho * hs.sigma
-    half_s2 = 0.5 * hs.sigma ** 2
+    r = hs.r
+    right_side = g2_right_side(hs)
     half_l = 0.5 * l
     s_grid = hz.grid().tolist()  # same spacing forward in s as the t grid
     h_vec = np.zeros(n)
 
     def rhs(s, h):
-        # investment kernel couples the atoms through the probability-weighted sum
         h_vec[:] = h
-        pi_hat = (xi + rs * float(h_vec @ probs)) / e_gamma * math.exp(-r * s)
+        pi_hat = pi_bar(hs, e_gamma, float(h_vec @ probs)) * math.exp(-r * s)
+        # g1(T - s) = -gamma e^{r s} stays inline: g1_closed(T - s) would round
+        # T - (T - s) differently and add a numpy call per atom and step
         growth = math.exp(r * s)
-        out = []
+        out = []  # a plain loop: before Python 3.12 a comprehension is a call of its own
         for ng, hi in zip(neg_gammas, h):
-            pg = pi_hat * (ng * growth)  # g1 evaluated at time T - s
-            out.append(xi * pg + 0.5 * (pg * pg) - kappa * hi + half_s2 * (hi * hi) + rs * pg * hi)
+            out.append(right_side(pi_hat * (ng * growth), hi))
         return out
 
     h = [0.0] * n
@@ -146,13 +185,6 @@ def solve_g2_coupled(model: ValidatedModel) -> np.ndarray:
     return np.ascontiguousarray(np.array(rows).T[:, ::-1])  # g2(t_m) = h2(T - t_m)
 
 
-def _q_hat_grid(model: ValidatedModel, grid):
-    ins, hs = model.ins, model.heston
-    # reduced form of a*eta2/(b^2 E[gamma]): the claim intensity cancels
-    ratio = ins.mu1 * ins.eta2 / (ins.mu2 * model.mean_gamma)
-    return ratio * np.exp(-hs.r * (model.horizon.T - grid))
-
-
 def solve_g3(model: ValidatedModel, g1, g2) -> np.ndarray:
     """g3 by composite trapezoid of its ODE right side from t to T.
 
@@ -162,7 +194,7 @@ def solve_g3(model: ValidatedModel, g1, g2) -> np.ndarray:
         raise BlowUpError(-1, float("inf"))
     d, hs = model.diffusion, model.heston
     grid = model.horizon.grid()
-    q = _q_hat_grid(model, grid)
+    q = q_hat(model, grid)
     integrand = (
         (d.a * d.eta + d.a * model.ins.eta2 * q) * g1
         + 0.5 * d.b ** 2 * q ** 2 * g1 ** 2
@@ -177,20 +209,13 @@ def solve_g3(model: ValidatedModel, g1, g2) -> np.ndarray:
 
 def solve_g(model: ValidatedModel) -> GSolution:
     """Full G-solution: closed-form g1, coupled g2, quadrature g3."""
-    grid = model.horizon.grid()
-    gammas = np.asarray(model.dist.gammas)
-    g1 = -gammas[:, None] * np.exp(model.heston.r * (model.horizon.T - grid))[None, :]
+    hz = model.horizon
+    grid = hz.grid()
+    g1 = g1_closed(grid, np.asarray(model.dist.gammas)[:, None], model.heston.r, hz.T)
     g2 = solve_g2_coupled(model)
     g2[:, -1] = 0.0  # terminal condition pinned exactly
     g3 = solve_g3(model, g1, g2)
-    return GSolution(
-        grid=grid,
-        g1=g1,
-        g2=g2,
-        g3=g3,
-        step=model.horizon.l,
-        nonpositive_g2=np.all(g2 <= 0.0, axis=1),
-    )
+    return GSolution(grid=grid, g1=g1, g2=g2, g3=g3, step=hz.l)
 
 
 def residual_check(gsol: GSolution, model: ValidatedModel) -> np.ndarray:
@@ -207,21 +232,10 @@ def residual_check(gsol: GSolution, model: ValidatedModel) -> np.ndarray:
     self-convergence differences against a doubled grid instead.
     """
     hs = model.heston
-    gammas = np.asarray(model.dist.gammas)[:, None]
     probs = np.asarray(model.dist.probs)
     grid, g1, g2 = gsol.grid, gsol.g1, gsol.g2
-    pi_hat = (
-        (hs.xi + hs.rho * hs.sigma * (probs @ g2))
-        / model.mean_gamma
-        * np.exp(-hs.r * (model.horizon.T - grid))
-    )
-    rhs = (
-        hs.xi * pi_hat * g1
-        + 0.5 * pi_hat ** 2 * g1 ** 2
-        - hs.kappa * g2
-        + 0.5 * hs.sigma ** 2 * g2 ** 2
-        + hs.rho * pi_hat * hs.sigma * g1 * g2
-    )
+    pi_hat = pi_bar(hs, model.mean_gamma, probs @ g2) * np.exp(-hs.r * (model.horizon.T - grid))
+    rhs = g2_right_side(hs)(pi_hat * g1, g2)
     dg2_dt = (g2[:, 2:] - g2[:, :-2]) / (grid[2:] - grid[:-2])
     defect = dg2_dt + rhs[:, 1:-1]  # the ODE reads -dg2/dt = rhs
     return np.max(np.abs(defect), axis=1)

@@ -8,13 +8,13 @@ state-independent: they depend on time and model parameters only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .model import ValidatedModel
-from .odes import GSolution
+from .odes import GSolution, pi_bar, q_hat, retention_ratio
 
 REGIME_REINSURANCE = "Reinsurance"
 REGIME_NEW_BUSINESS = "NewBusiness"
@@ -68,28 +68,10 @@ class AdmissibilityReport:
         return self.rhs - self.lhs
 
 
-def retention_ratio(model: ValidatedModel) -> float:
-    """a*eta2 / (b^2 * E[gamma]) — the undiscounted retained proportion.
-
-    a = lambda1*mu1 and b^2 = lambda1*mu2, so the claim intensity cancels;
-    evaluating the reduced form keeps the ratio exactly intensity-free
-    instead of merely up to rounding.
-    """
-    ins = model.ins
-    return ins.mu1 * ins.eta2 / (ins.mu2 * model.mean_gamma)
-
-
-def q_hat(model: ValidatedModel, t):
-    """Analytic retained proportion q_hat(t); no ODE dependence."""
-    t = np.asarray(t, dtype=float)
-    return retention_ratio(model) * np.exp(-model.heston.r * (model.horizon.T - t))
-
-
 def pi_bar_path(model: ValidatedModel, gsol: GSolution) -> np.ndarray:
     """Undiscounted investment kernel on the grid."""
-    hs = model.heston
     probs = np.asarray(model.dist.probs)
-    return (hs.xi + hs.rho * hs.sigma * (probs @ gsol.g2)) / model.mean_gamma
+    return pi_bar(model.heston, model.mean_gamma, probs @ gsol.g2)
 
 
 def _classify(q):
@@ -213,17 +195,6 @@ _SENSITIVITY_PARAMS = ("r", "eta2", "lambda1", "mu1", "mu2")
 _EXPECTED_SIGNS = {"r": -1, "eta2": 1, "lambda1": 0, "mu1": 1, "mu2": -1}
 
 
-def _q_hat_with(model: ValidatedModel, t, **overrides):
-    ins, hs = model.ins, model.heston
-    eta2 = overrides.get("eta2", ins.eta2)
-    mu1 = overrides.get("mu1", ins.mu1)
-    mu2 = overrides.get("mu2", ins.mu2)
-    r = overrides.get("r", hs.r)
-    # the claim intensity cancels between a and b^2, so lambda1 overrides
-    # leave the value bit-identical by construction
-    return mu1 * eta2 / (mu2 * model.mean_gamma) * math.exp(-r * (model.horizon.T - t))
-
-
 @dataclass
 class SensitivityReport:
     """Central-difference sensitivities of q_hat with expected-sign checks."""
@@ -241,14 +212,19 @@ def sensitivity_signs(model: ValidatedModel, t, rel_step=1e-6) -> SensitivityRep
     derivs = {}
     signs = {}
     for name in _SENSITIVITY_PARAMS:
-        base = getattr(model.ins, name) if name != "r" else model.heston.r
+        # q_hat reads only the model's insurance moments, r and E[gamma], so
+        # the perturbed models need no re-derived diffusion; the claim
+        # intensity cancels in retention_ratio, so a lambda1 step gives 0 exactly
+        part = "heston" if name == "r" else "ins"
+        params = getattr(model, part)
+        base = getattr(params, name)
         step = abs(base) * rel_step
-        up = _q_hat_with(model, t, **{name: base + step})
-        dn = _q_hat_with(model, t, **{name: base - step})
-        d = (up - dn) / (2.0 * step)
+        up = q_hat(replace(model, **{part: replace(params, **{name: base + step})}), t)
+        dn = q_hat(replace(model, **{part: replace(params, **{name: base - step})}), t)
+        d = float(up - dn) / (2.0 * step)
         derivs[name] = d
         # treat tiny finite-difference noise as an exact zero
-        scale = _q_hat_with(model, t) / max(abs(base), 1.0)
+        scale = q_hat(model, t) / max(abs(base), 1.0)
         if abs(d) <= 1e-14 * max(1.0, abs(scale)):
             signs[name] = 0
         else:

@@ -68,6 +68,15 @@ def test_manifest_round_trip_byte_identical(cfg_path, tmp_path):
         assert _read(os.path.join(out1, name)) == _read(os.path.join(out2, name))
 
 
+def test_manifest_without_config_is_exit_1(tmp_path, capsys):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text('{"flags": {}}', encoding="utf-8")
+    argv = ["solve", "--from-manifest", str(manifest), "--out", str(tmp_path / "o")]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'config'" in err and err.count("\n") == 1
+
+
 def test_missing_config_is_exit_1(tmp_path, capsys):
     out = str(tmp_path / "x")
     assert main(["solve", "--config", str(tmp_path / "nope.cfg"), "--out", out]) == EXIT_CONFIG
@@ -142,10 +151,11 @@ def test_simulate_const_strategy(cfg_path, tmp_path):
 
 
 def test_simulate_bad_strategy_is_exit_1(cfg_path, tmp_path, capsys):
-    argv = ["simulate", "--config", cfg_path, "--out", str(tmp_path / "s"),
-            "--paths", "10", "--strategy", "const:1"]
-    assert main(argv) == EXIT_CONFIG
-    assert "const" in capsys.readouterr().err
+    for strategy, message in (("const:1", "const"), ("const:1/0,0", "'1/0'")):
+        argv = ["simulate", "--config", cfg_path, "--out", str(tmp_path / "s"),
+                "--paths", "10", "--strategy", strategy]
+        assert main(argv) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
 
 
 def test_sweep_q_hat(cfg_path, tmp_path):
@@ -173,6 +183,16 @@ def test_sweep_unknown_param_is_exit_1(cfg_path, tmp_path, capsys):
     argv = ["sweep", "--config", cfg_path, "--out", str(tmp_path / "sw"),
             "--param", "bogus", "--values", "1,2", "--observable", "q_hat"]
     assert main(argv) == EXIT_CONFIG
+
+
+def test_sweep_bad_value_is_exit_1(cfg_path, tmp_path, capsys):
+    # a value that is no number, and one that breaks the Feller condition
+    for param, values, message in (("kappa", "4,1/0", "'1/0'"), ("sigma", "0.25,1", "Feller")):
+        argv = ["sweep", "--config", cfg_path, "--out", str(tmp_path / "sw"),
+                "--param", param, "--values", values, "--observable", "pi_hat"]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err and err.count("\n") == 1
 
 
 def test_reproduce_known_case(tmp_path):

@@ -114,7 +114,6 @@ def test_g2_terminal_condition_exact(gsol_case1):
 
 def test_g2_nonpositive_baseline(gsol_case1):
     assert np.all(gsol_case1.g2 <= 0.0)
-    assert np.all(gsol_case1.nonpositive_g2)
 
 
 def test_g3_matches_closed_form_single_atom(model_single, gsol_single):
