@@ -52,6 +52,7 @@ from .montecarlo import (
     equilibrium_spot_check,
     estimate_reward,
     simulate_paths,
+    simulate_strategies,
 )
 from .config import ConfigError, load_config, parse_config_text
 

@@ -94,11 +94,14 @@ def _resolve_model(args):
     """Model + seed + flags, from --from-manifest or --config."""
     if args.from_manifest:
         with open(args.from_manifest, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        if "config" not in manifest:
-            raise ConfigError(f"manifest {args.from_manifest} has no 'config' entry")
-        cfg = dict(manifest["config"])
-        model, seed = build_model(cfg)
+            try:
+                manifest = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"manifest {args.from_manifest} is not JSON: {exc}") from exc
+        config = manifest.get("config") if isinstance(manifest, dict) else None
+        if not isinstance(config, dict):
+            raise ConfigError(f"manifest {args.from_manifest} has no 'config' table")
+        model, seed = build_model(config)
         return model, seed, manifest.get("flags", {})
     if not args.config:
         raise ConfigError("--config (or --from-manifest) is required")

@@ -82,14 +82,28 @@ def parse_config_text(text):
     return values
 
 
+def _is_number(val):
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
 def build_model(values):
-    """Assemble and validate a model from a parsed config dict."""
+    """Assemble and validate a model from a parsed config dict (or a
+    manifest's, whose value types are checked here)."""
     merged = {k: _parse_number(v) for k, v in DEFAULTS.items()}
     merged["seed"] = int(merged["seed"])
     merged.update(values)
     missing = [k for k in ALL_KEYS if k not in merged and k not in DEFAULTS]
     if missing:
         raise ConfigError(f"missing keys: {', '.join(missing)}")
+    for key in ALL_KEYS:
+        val = merged[key]
+        if key in LIST_KEYS:
+            ok = isinstance(val, list) and all(map(_is_number, val))
+        else:
+            ok = _is_number(val)
+        if not ok:
+            kind = "a list of numbers" if key in LIST_KEYS else "a number"
+            raise ConfigError(f"{key} must be {kind}, got {val!r}")
     ins = InsuranceParams(
         eta1=merged["eta1"], eta2=merged["eta2"], lambda1=merged["lambda1"],
         mu1=merged["mu1"], mu2=merged["mu2"],

@@ -7,13 +7,20 @@ the noiseless strategy reproduces the deterministic ODE limit to machine
 precision. Normals are drawn from counter-based Philox streams keyed by
 (seed, chunk index) with a fixed chunk size, making every batch
 reproducible and independent of scheduling.
+
+simulate_strategies advances K strategies in one pass on common random
+numbers: each step of a chunk draws its normals once and updates the
+variance once (it does not depend on the strategy); only wealth is a
+(K, chunk) array. Every strategy's wealth is bit-identical to a run of its
+own, and simulate_paths is the K = 1 call. The paired spot check
+simulates the equilibrium and its perturbations in that one pass.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -22,6 +29,7 @@ from .odes import GSolution
 from .strategy import StrategyPath, equilibrium_strategy
 
 CHUNK_SIZE = 16384
+_SMALLEST_NORMAL = np.finfo(float).tiny
 
 
 class SimulationError(RuntimeError):
@@ -81,7 +89,7 @@ def _strategy_arrays(model: ValidatedModel, strategy: StrategySpec):
     """Per-step (left endpoint) q and pi arrays of length M."""
     M = model.horizon.M
     if isinstance(strategy, StrategyPath):
-        return strategy.q_hat[:-1].copy(), strategy.pi_hat[:-1].copy()
+        return strategy.q_hat[:-1], strategy.pi_hat[:-1]
     if strategy == "zero":
         return np.zeros(M), np.zeros(M)
     q, pi = strategy
@@ -101,22 +109,47 @@ def simulate_paths(
     constant (q, pi) pair. Identical (model, strategy, n_paths, seed)
     give a bit-identical batch.
     """
+    return simulate_strategies(model, [strategy], n_paths, seed, record_full)[0]
+
+
+def simulate_strategies(
+    model: ValidatedModel,
+    strategies: Sequence[StrategySpec],
+    n_paths: int,
+    seed: int,
+    record_full: bool = False,
+) -> List[PathBatch]:
+    """Simulate n_paths under each strategy on common random numbers.
+
+    One pass: every chunk draws its normals once per step and advances the
+    variance once; only wealth is a (K, chunk) array. Batch k is
+    bit-identical to simulate_paths(model, strategies[k], n_paths, seed),
+    and all K batches share one v_terminal (and v_paths) array. A
+    non-finite state raises SimulationError at its step; a path counts as
+    bad when any strategy's state on it is non-finite.
+    """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     hs, hz = model.heston, model.horizon
     d = model.diffusion
     M, l = hz.M, hz.l
+    K = len(strategies)
     grid = hz.grid()
-    qs, ps = _strategy_arrays(model, strategy)
+    qs, ps = (np.array(a) for a in zip(*(_strategy_arrays(model, s) for s in strategies)))
+    # per-step (K, 1) columns: the constant drift a*eta + a*eta2*q, the
+    # claim-noise scale b*q, and pi
+    drift0 = np.ascontiguousarray((d.a * d.eta + d.a * model.ins.eta2 * qs).T[:, :, None])
+    noise_q = np.ascontiguousarray((d.b * qs).T[:, :, None])
+    pis = np.ascontiguousarray(ps.T[:, :, None])
     sqrt_l = math.sqrt(l)
     er = math.exp(hs.r * l)
     # exact integral of e^{r(l-s)} ds over one step; -> l as r -> 0
     growth = (er - 1.0) / hs.r if hs.r != 0.0 else l
     rho_c = math.sqrt(1.0 - hs.rho ** 2)
 
-    x_terminal = np.empty(n_paths)
+    x_terminal = [np.empty(n_paths) for _ in range(K)]
     v_terminal = np.empty(n_paths)
-    x_paths = np.empty((n_paths, M + 1)) if record_full else None
+    x_paths = [np.empty((n_paths, M + 1)) for _ in range(K)] if record_full else [None] * K
     v_paths = np.empty((n_paths, M + 1)) if record_full else None
     min_v = math.inf
 
@@ -124,41 +157,78 @@ def simulate_paths(
         stop = min(start + CHUNK_SIZE, n_paths)
         c = stop - start
         rng = np.random.Generator(np.random.Philox(key=[seed, chunk_index]))
-        x = np.full(c, hz.x0)
+        z = np.empty((3, c))
+        dw0, dw1, dw2 = z  # scaled in place into the Brownian increments
+        x = np.full((K, c), hz.x0)
         v = np.full(c, hs.v0)
+        v_plus = np.maximum(v, 0.0)
+        sqrt_v = np.empty(c)
+        tmp = np.empty(c)
+        term = np.empty((K, c))
+        lowest = np.full(c, math.inf)
         if record_full:
-            x_paths[start:stop, 0] = x
+            for xp in x_paths:
+                xp[start:stop, 0] = hz.x0
             v_paths[start:stop, 0] = v
+        # Each update keeps the operation order of the scalar expressions
+        #   x <- x e^{rl} + (a eta + a eta2 q + xi v+ pi) growth + b q dw0 + pi sqrt(v+) dw1
+        #   v <- v + kappa (theta - v+) l + sigma sqrt(v+) dw2
+        # so every strategy's wealth is bit-identical to a run of its own.
         for m in range(M):
-            z = rng.standard_normal((3, c))
-            dw0 = sqrt_l * z[0]
-            dw1 = sqrt_l * z[1]
-            dw2 = sqrt_l * (hs.rho * z[1] + rho_c * z[2])
-            v_plus = np.maximum(v, 0.0)
-            sqrt_v = np.sqrt(v_plus)
-            drift = d.a * d.eta + d.a * model.ins.eta2 * qs[m] + hs.xi * v_plus * ps[m]
-            x = x * er + drift * growth + d.b * qs[m] * dw0 + ps[m] * sqrt_v * dw1
-            v = v + hs.kappa * (hs.theta - v_plus) * l + hs.sigma * sqrt_v * dw2
-            bad = ~(np.isfinite(x) & np.isfinite(v))
-            if np.any(bad):
-                raise SimulationError(m + 1, int(np.count_nonzero(bad)))
-            if record_full:
-                x_paths[start:stop, m + 1] = x
-                v_paths[start:stop, m + 1] = np.maximum(v, 0.0)
-            min_v = min(min_v, float(np.min(np.maximum(v, 0.0))))
-        x_terminal[start:stop] = x
-        v_terminal[start:stop] = np.maximum(v, 0.0)
+            rng.standard_normal(out=z)
+            np.multiply(dw2, rho_c, out=dw2)
+            np.multiply(dw1, hs.rho, out=tmp)
+            np.add(tmp, dw2, out=dw2)
+            np.multiply(z, sqrt_l, out=z)
+            np.sqrt(v_plus, out=sqrt_v)
 
-    return PathBatch(
-        n_paths=n_paths,
-        seed=seed,
-        grid=grid,
-        x_terminal=x_terminal,
-        v_terminal=v_terminal,
-        min_v=min_v,
-        x_paths=x_paths,
-        v_paths=v_paths,
-    )
+            np.multiply(v_plus, hs.xi, out=tmp)
+            np.multiply(tmp, pis[m], out=term)
+            term += drift0[m]
+            term *= growth
+            x *= er
+            x += term
+            np.multiply(noise_q[m], dw0, out=term)
+            x += term
+            np.multiply(pis[m], sqrt_v, out=term)
+            term *= dw1
+            x += term
+
+            np.subtract(hs.theta, v_plus, out=tmp)
+            tmp *= hs.kappa
+            tmp *= l
+            v += tmp
+            np.multiply(sqrt_v, hs.sigma, out=tmp)
+            tmp *= dw2
+            v += tmp
+
+            if not (np.isfinite(x).all() and np.isfinite(v).all()):
+                bad = ~(np.isfinite(x).all(axis=0) & np.isfinite(v))
+                raise SimulationError(m + 1, int(np.count_nonzero(bad)))
+            np.maximum(v, 0.0, out=v_plus)
+            np.minimum(lowest, v_plus, out=lowest)
+            if record_full:
+                for xp, xk in zip(x_paths, x):
+                    xp[start:stop, m + 1] = xk
+                v_paths[start:stop, m + 1] = v_plus
+        for xt, xk in zip(x_terminal, x):
+            xt[start:stop] = xk
+        v_terminal[start:stop] = v_plus
+        min_v = min(min_v, float(np.min(lowest)))
+
+    return [
+        PathBatch(
+            n_paths=n_paths,
+            seed=seed,
+            grid=grid,
+            x_terminal=xt,
+            v_terminal=v_terminal,
+            min_v=min_v,
+            x_paths=xp,
+            v_paths=v_paths,
+        )
+        for xt, xp in zip(x_terminal, x_paths)
+    ]
 
 
 def _utilities(x_terminal, gamma):
@@ -171,7 +241,13 @@ def _inverse_utility(y, gamma):
 
 def estimate_reward(model: ValidatedModel, batch: PathBatch) -> SimulationResult:
     """Per-atom sample means of terminal utility, their standard errors,
-    certainty equivalents, and the probability-weighted reward."""
+    certainty equivalents, and the probability-weighted reward.
+
+    Where an atom's utility mean underflows (below the smallest normal
+    float, e.g. gamma = 30 at wealth 30), its certainty equivalent and
+    weights come from the log-sum-exp shifted by the lowest terminal
+    wealth; its utility mean and SE are reported as they underflowed.
+    """
     if batch.n_paths < 1:
         raise ValueError("empty path batch")
     gammas = np.asarray(model.dist.gammas)
@@ -183,13 +259,19 @@ def estimate_reward(model: ValidatedModel, batch: PathBatch) -> SimulationResult
     for i, (gamma, p) in enumerate(zip(gammas, probs)):
         u = _utilities(batch.x_terminal, gamma)
         mean = float(np.mean(u))
-        if mean >= 0.0:
-            # exponential utility is strictly negative; this is corruption
-            raise RuntimeError(f"nonnegative utility mean {mean} for gamma={gamma}")
         means[i] = mean
         ses[i] = float(np.std(u, ddof=1) / math.sqrt(batch.n_paths)) if batch.n_paths > 1 else 0.0
-        ces[i] = _inverse_utility(mean, gamma)
-        weights += p * u / (-gamma * mean)
+        if mean < -_SMALLEST_NORMAL:
+            ces[i] = _inverse_utility(mean, gamma)
+            weights += p * u / (-gamma * mean)
+        else:
+            # exp(-gamma x) underflows: shift by the lowest wealth x*, so
+            # CE = x* - log(mean exp(-gamma (x - x*))) / gamma
+            x_low = float(np.min(batch.x_terminal))
+            e = np.exp(-gamma * (batch.x_terminal - x_low))
+            e_mean = float(np.mean(e))
+            ces[i] = x_low - math.log(e_mean) / gamma
+            weights += p * e / (-gamma * e_mean)
     reward = float(np.dot(probs, ces))
     return SimulationResult(
         gammas=gammas,
@@ -241,11 +323,13 @@ def equilibrium_spot_check(
     standard errors is flagged, never raised.
     """
     base = equilibrium_strategy(model, gsol)
-    eq = estimate_reward(model, simulate_paths(model, base, n_paths, seed))
+    strategies = [base] + [_perturbed_path(model, base, q, pi, h) for q, pi in perturbations]
+    batches = simulate_strategies(model, strategies, n_paths, seed)
+    eq = estimate_reward(model, batches[0])
     rows = []
-    for q, pi in perturbations:
-        pert = _perturbed_path(model, base, q, pi, h)
-        res = estimate_reward(model, simulate_paths(model, pert, n_paths, seed))
+    for k, (q, pi) in enumerate(perturbations, start=1):
+        res = estimate_reward(model, batches[k])
+        batches[k] = None  # frees this strategy's wealth before the next estimate
         diff = eq.weights - res.weights
         se_diff = float(np.std(diff, ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
         rate = (eq.reward - res.reward) / h
@@ -262,4 +346,5 @@ def equilibrium_spot_check(
                 violation=rate < -3.0 * rate_se,
             )
         )
+        del res, diff  # and its weights
     return rows

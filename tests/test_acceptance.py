@@ -277,6 +277,7 @@ def test_criterion_08_monte_carlo_sanity(report):
 
 
 def test_criterion_09_equilibrium_spot_check(report):
+    t0 = time.perf_counter()
     m = baseline_model("caseI", T=1.0, M=1000)
     gsol = solve_g(m)
     rows = equilibrium_spot_check(
@@ -287,10 +288,11 @@ def test_criterion_09_equilibrium_spot_check(report):
         n_paths=100_000,
         seed=404,
     )
+    elapsed = time.perf_counter() - t0
     ok = all(not row.violation for row in rows)
     detail = "; ".join(
         f"(q={r.q:g},pi={r.pi:g}): rate {r.diff_rate:.4f} +/- {r.diff_rate_se:.4f}" for r in rows
-    )
+    ) + f", {elapsed:.1f}s"
     report(9, "no constant perturbation beats equilibrium beyond 3 SE", ok, detail)
 
 

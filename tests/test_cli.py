@@ -77,6 +77,35 @@ def test_manifest_without_config_is_exit_1(tmp_path, capsys):
     assert err.startswith("error:") and "'config'" in err and err.count("\n") == 1
 
 
+def _run_manifest(tmp_path, text):
+    manifest = tmp_path / "bad_manifest.json"
+    manifest.write_text(text, encoding="utf-8")
+    return main(["solve", "--from-manifest", str(manifest), "--out", str(tmp_path / "o")])
+
+
+def test_manifest_not_json_is_exit_1(tmp_path, capsys):
+    assert _run_manifest(tmp_path, "not json {") == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not JSON" in err and err.count("\n") == 1
+
+
+def test_manifest_config_not_a_table_is_exit_1(tmp_path, capsys):
+    assert _run_manifest(tmp_path, '{"config": [1, 2]}') == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'config'" in err and err.count("\n") == 1
+
+
+def test_manifest_non_numeric_value_is_exit_1(cfg_path, tmp_path, capsys):
+    out = str(tmp_path / "solve")
+    assert main(["solve", "--config", cfg_path, "--out", out]) == EXIT_OK
+    with open(os.path.join(out, "manifest.json"), encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    manifest["config"]["kappa"] = "abc"
+    assert _run_manifest(tmp_path, json.dumps(manifest)) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "kappa" in err and err.count("\n") == 1
+
+
 def test_missing_config_is_exit_1(tmp_path, capsys):
     out = str(tmp_path / "x")
     assert main(["solve", "--config", str(tmp_path / "nope.cfg"), "--out", out]) == EXIT_CONFIG

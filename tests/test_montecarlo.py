@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqreinvest import (
     PathBatch,
@@ -9,7 +12,9 @@ from eqreinvest import (
     equilibrium_spot_check,
     estimate_reward,
     simulate_paths,
+    simulate_strategies,
 )
+from eqreinvest.montecarlo import CHUNK_SIZE
 from eqreinvest.model import AversionDistribution, Horizon, validate_config
 from eqreinvest.presets import BASE_HESTON, BASE_INSURANCE, baseline_model
 from eqreinvest.strategy import equilibrium_strategy
@@ -107,7 +112,7 @@ def test_estimate_reward_mixture_below_best_atom(small_model):
     assert np.all(res.utility_mean < 0)
 
 
-def test_estimate_reward_rejects_corrupt_utilities(small_model):
+def test_estimate_reward_underflow_uses_shifted_log_sum_exp(small_model):
     batch = PathBatch(
         n_paths=4,
         seed=0,
@@ -116,8 +121,32 @@ def test_estimate_reward_rejects_corrupt_utilities(small_model):
         v_terminal=np.full(4, 0.0225),
         min_v=0.0,
     )
-    with pytest.raises(RuntimeError, match="nonnegative utility mean"):
-        estimate_reward(small_model, batch)
+    res = estimate_reward(small_model, batch)
+    assert np.all(res.cert_equiv == 1e6)
+    assert res.reward == 1e6
+    # each atom contributes p_i * (-1 / gamma_i) per path, as without underflow
+    gammas, probs = np.array(small_model.dist.gammas), np.array(small_model.dist.probs)
+    assert np.allclose(res.weights, -np.dot(probs, 1.0 / gammas), rtol=1e-15)
+
+
+def test_underflowing_cert_equiv_matches_ansatz():
+    """gamma = 30 at wealth 30: exp(-gamma x) underflows, yet each certainty
+    equivalent lies within 5e-4 of -(g1 x0 + g2 v0 + g3) / gamma."""
+    from eqreinvest.odes import solve_g
+
+    m = validate_config(
+        BASE_INSURANCE,
+        BASE_HESTON,
+        AversionDistribution.from_lists([0.5, 30.0], [0.5, 0.5]),
+        Horizon(T=1.0, M=1000, x0=30.0),
+    )
+    gsol = solve_g(m)
+    res = estimate_reward(m, simulate_paths(m, equilibrium_strategy(m, gsol), 10000, seed=30))
+    assert res.utility_mean[1] == 0.0  # the plain mean underflows
+    for i, gamma in enumerate(m.dist.gammas):
+        expo = gsol.g1[i, 0] * m.horizon.x0 + gsol.g2[i, 0] * m.heston.v0 + gsol.g3[i, 0]
+        assert abs(res.cert_equiv[i] - (-expo / gamma)) < 5e-4
+    assert np.all(np.isfinite(res.weights))
 
 
 def test_feynman_kac_consistency():
@@ -153,3 +182,58 @@ def test_spot_check_equilibrium_not_beaten():
     for row in rows:
         assert not row.violation, (row.q, row.pi, row.diff_rate, row.diff_rate_se)
         assert row.diff_rate_se > 0
+
+
+def _same_batch(a, b):
+    for name in ("x_terminal", "v_terminal", "x_paths", "v_paths"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None) == (y is None), name
+        if x is not None:
+            assert x.tobytes() == y.tobytes(), name
+    assert a.min_v == b.min_v and a.n_paths == b.n_paths and a.seed == b.seed
+
+
+def test_shared_pass_matches_single_runs_across_chunks():
+    """Mixed strategy kinds over a chunk boundary: each batch of the shared
+    pass is byte-equal to its own single-strategy run, full records too."""
+    from eqreinvest.odes import solve_g
+
+    m = baseline_model("caseII", T=1.0, M=20)
+    strategies = [equilibrium_strategy(m, solve_g(m)), "zero", (0.3, 7 / 15)]
+    n = CHUNK_SIZE + 5
+    shared = simulate_strategies(m, strategies, n, seed=12, record_full=True)
+    assert len(shared) == 3
+    for strategy, batch in zip(strategies, shared):
+        _same_batch(batch, simulate_paths(m, strategy, n, seed=12, record_full=True))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(-2.0, 2.0)), min_size=1, max_size=4),
+       st.integers(1, 2 ** 31))
+def test_shared_pass_matches_single_runs_property(small_model, pairs, seed):
+    shared = simulate_strategies(small_model, pairs, 40, seed)
+    for pair, batch in zip(pairs, shared):
+        _same_batch(batch, simulate_paths(small_model, pair, 40, seed))
+
+
+def test_spot_check_rows_match_per_strategy_runs():
+    """The one-pass spot check gives, field for field, the rows of the
+    formulation that simulates each strategy on its own."""
+    from eqreinvest.odes import solve_g
+
+    m = baseline_model("caseI", T=1.0, M=100)
+    gsol = solve_g(m)
+    perturbations, h, n, seed = [(0.5, 0.5), (0.0, 1.0), (1.0, 0.0)], 0.1, 3000, 404
+    rows = equilibrium_spot_check(m, gsol, perturbations, h, n, seed)
+
+    base = equilibrium_strategy(m, gsol)
+    eq = estimate_reward(m, simulate_paths(m, base, n, seed))
+    for row, (q, pi) in zip(rows, perturbations):
+        early = base.grid < h
+        pert = dataclasses.replace(base, q_hat=np.where(early, q, base.q_hat),
+                                   pi_hat=np.where(early, pi, base.pi_hat))
+        res = estimate_reward(m, simulate_paths(m, pert, n, seed))
+        rate = (eq.reward - res.reward) / h
+        rate_se = float(np.std(eq.weights - res.weights, ddof=1) / math.sqrt(n)) / h
+        assert dataclasses.astuple(row) == (q, pi, h, eq.reward, res.reward, rate, rate_se,
+                                            rate < -3.0 * rate_se)
