@@ -15,6 +15,7 @@ from .model import (
     ValidationError,
     derive_diffusion,
     validate_config,
+    weighted_sum,
 )
 from .odes import (
     BlowUpError,

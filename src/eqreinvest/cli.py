@@ -17,7 +17,7 @@ import sys
 import time
 
 from . import __version__
-from .config import ConfigError, _parse_number, build_model, load_config, model_to_config_dict
+from .config import ConfigError, _is_number, _parse_number, build_model, load_config, model_to_config_dict
 from .csvio import (
     write_admissibility_csv,
     write_csv,
@@ -25,7 +25,7 @@ from .csvio import (
     write_simulation_csv,
     write_strategy_csv,
 )
-from .model import ValidationError, validate_config
+from .model import Horizon, ValidationError, validate_config
 from .montecarlo import estimate_reward, simulate_paths
 from .odes import BlowUpError, solve_g
 from .presets import XI, baseline_model
@@ -101,12 +101,69 @@ def _resolve_model(args):
         config = manifest.get("config") if isinstance(manifest, dict) else None
         if not isinstance(config, dict):
             raise ConfigError(f"manifest {args.from_manifest} has no 'config' table")
+        flags = manifest.get("flags", {})
+        if not isinstance(flags, dict):
+            raise ConfigError(f"manifest {args.from_manifest} has a 'flags' entry that is not a table")
         model, seed = build_model(config)
-        return model, seed, manifest.get("flags", {})
+        return model, seed, flags
     if not args.config:
         raise ConfigError("--config (or --from-manifest) is required")
     model, seed = load_config(args.config)
     return model, seed, {}
+
+
+def _integer_flag(low, high=None):
+    def parse(name, value):
+        if isinstance(value, bool) or not isinstance(value, int) or value < low or (
+                high is not None and value >= high):
+            bound = f">= {low}" if high is None else f"in [{low}, {high})"
+            raise ConfigError(f"flag {name} must be an integer {bound}, got {value!r}")
+        return value
+
+    return parse
+
+
+def _text_flag(name, value):
+    if not isinstance(value, str):
+        raise ConfigError(f"flag {name} must be a string, got {value!r}")
+    return value
+
+
+def _horizon_flag(name, value):
+    if not (_is_number(value) and 0 < value < float("inf")):
+        raise ConfigError(f"flag {name} must be a finite number > 0, got {value!r}")
+    return float(value)
+
+
+def _values_flag(name, value):
+    if isinstance(value, str):
+        return [_parse_number(tok) for tok in value.split(",")]
+    if isinstance(value, list) and value and all(map(_is_number, value)):
+        return [float(v) for v in value]
+    raise ConfigError(f"flag {name} must be comma-separated numbers or a list of numbers, got {value!r}")
+
+
+# name -> parse(name, value): the value a run uses, or a ConfigError. A flag
+# comes from the command line, else the manifest, else the command's default.
+FLAGS = {
+    "paths": _integer_flag(1),
+    "seed": _integer_flag(0, 2 ** 64),  # a Philox key word
+    "horizon": _horizon_flag,
+    "strategy": _text_flag,
+    "param": _text_flag,
+    "values": _values_flag,
+    "observable": _text_flag,
+}
+
+
+def _merge_flags(args, saved, names, defaults):
+    """(flags as given, flags as parsed) of one run over the flag names."""
+    given = {name: saved[name] for name in names if name in saved}
+    for name in names:
+        if getattr(args, name) is not None:
+            given[name] = getattr(args, name)
+    given = {**defaults, **given}
+    return given, {name: FLAGS[name](name, value) for name, value in given.items()}
 
 
 def cmd_solve(args):
@@ -178,33 +235,23 @@ def _parse_strategy_flag(model, token):
 def cmd_simulate(args):
     t0 = time.perf_counter()
     model, seed, saved_flags = _resolve_model(args)
-    flags = dict(saved_flags)
-    if args.paths is not None:
-        flags["paths"] = args.paths
-    if args.seed is not None:
-        flags["seed"] = args.seed
-    if args.horizon is not None:
-        flags["horizon"] = args.horizon
-    if args.strategy is not None:
-        flags["strategy"] = args.strategy
-    flags.setdefault("paths", 10000)
-    flags.setdefault("seed", seed)
-    flags.setdefault("strategy", "equilibrium")
-    if "horizon" in flags and flags["horizon"] != model.horizon.T:
+    flags, parsed = _merge_flags(
+        args, saved_flags, ("paths", "seed", "horizon", "strategy"),
+        {"paths": 10000, "seed": seed, "strategy": "equilibrium"},
+    )
+    if "horizon" in parsed and parsed["horizon"] != model.horizon.T:
         # keep the grid step, rescale the number of steps
         step = model.horizon.l
-        T = float(flags["horizon"])
-        from .model import Horizon
-
+        T = parsed["horizon"]
         hz = Horizon(T=T, M=max(1, int(round(T / step))), x0=model.horizon.x0)
         model = validate_config(model.ins, model.heston, model.dist, hz)
-    strategy = _parse_strategy_flag(model, flags["strategy"])
-    batch = simulate_paths(model, strategy, int(flags["paths"]), int(flags["seed"]))
+    strategy = _parse_strategy_flag(model, parsed["strategy"])
+    batch = simulate_paths(model, strategy, parsed["paths"], parsed["seed"])
     result = estimate_reward(model, batch)
     timings = {"simulate": time.perf_counter() - t0}
     os.makedirs(args.out, exist_ok=True)
     write_simulation_csv(os.path.join(args.out, "simulation.csv"), result)
-    _write_manifest(args.out, "simulate", model_to_config_dict(model, flags["seed"]), flags, timings)
+    _write_manifest(args.out, "simulate", model_to_config_dict(model, parsed["seed"]), flags, timings)
     return EXIT_OK
 
 
@@ -224,54 +271,47 @@ def _sweep_cell(model, param, value, observable):
 def run_sweep(model, param, values, observable):
     """Evaluate the observable over the parameter grid, one cell at a time.
 
-    Returns rows (param, value, t, observable, result). In pi_diff mode
-    the first value is the baseline and rows hold pi_hat(t; value) -
-    pi_hat(t; baseline) for the remaining values.
+    Returns rows (param, value, t, observable, result) as a generator. The
+    cells are evaluated here, so a bad value raises before any row is read;
+    the rows are built as they are read. In pi_diff mode the first value is
+    the baseline and rows hold pi_hat(t; value) - pi_hat(t; baseline) for
+    the remaining values.
     """
     _params_holding(model, param)
     if observable not in ("q_hat", "pi_hat", "pi_diff"):
         raise ConfigError(f"unknown observable {observable!r}")
     base_obs = "pi_hat" if observable == "pi_diff" else observable
     cells = [_sweep_cell(model, param, v, base_obs) for v in values]
-    rows = []
+    label = observable
     if observable == "pi_diff":
-        grid0, baseline = cells[0]
-        for value, (grid, curve) in zip(values[1:], cells[1:]):
-            for t, dv in zip(grid, curve - baseline):
-                rows.append((param, value, t, "pi_hat_diff", dv))
-    else:
-        for value, (grid, curve) in zip(values, cells):
-            for t, obs in zip(grid, curve):
-                rows.append((param, value, t, observable, obs))
-    return rows
+        baseline = cells[0][1]
+        values, cells = values[1:], [(grid, curve - baseline) for grid, curve in cells[1:]]
+        label = "pi_hat_diff"
+    return (
+        (param, value, t, label, result)
+        for value, (grid, curve) in zip(values, cells)
+        for t, result in zip(grid.tolist(), curve.tolist())
+    )
 
 
 def cmd_sweep(args):
     t0 = time.perf_counter()
     model, seed, saved_flags = _resolve_model(args)
-    flags = dict(saved_flags)
-    if args.param is not None:
-        flags["param"] = args.param
-    if args.values is not None:
-        flags["values"] = args.values
-    if args.observable is not None:
-        flags["observable"] = args.observable
-    for key in ("param", "values", "observable"):
+    names = ("param", "values", "observable")
+    flags, parsed = _merge_flags(args, saved_flags, names, {})
+    for key in names:
         if key not in flags:
             raise ConfigError(f"sweep requires --{key}")
-    values = (
-        [_parse_number(tok) for tok in flags["values"].split(",")]
-        if isinstance(flags["values"], str)
-        else [float(v) for v in flags["values"]]
-    )
-    rows = run_sweep(model, flags["param"], values, flags["observable"])
+    rows = run_sweep(model, parsed["param"], parsed["values"], parsed["observable"])
     timings = {"sweep": time.perf_counter() - t0}
+    t0 = time.perf_counter()
     os.makedirs(args.out, exist_ok=True)
     write_csv(
         os.path.join(args.out, "sweep.csv"),
         ["param", "value", "t", "observable", "result"],
         rows,
     )
+    timings["emit"] = time.perf_counter() - t0
     _write_manifest(args.out, "sweep", model_to_config_dict(model, seed), flags, timings)
     return EXIT_OK
 
@@ -293,6 +333,7 @@ def cmd_reproduce(args):
     model = baseline_model(case=case, T=T, **overrides)
     rows = run_sweep(model, param, values, observable)
     timings = {"reproduce": time.perf_counter() - t0}
+    t0 = time.perf_counter()
     os.makedirs(args.out, exist_ok=True)
     name = case_id.replace("/", "_") + ".csv"
     write_csv(
@@ -300,6 +341,7 @@ def cmd_reproduce(args):
         ["param", "value", "t", "observable", "result"],
         rows,
     )
+    timings["emit"] = time.perf_counter() - t0
     _write_manifest(
         args.out,
         "reproduce",

@@ -13,6 +13,58 @@ import numpy as np
 
 PROB_SUM_TOL = 1e-12
 
+_SPLITTER = 134217729.0  # 2^27 + 1: Veltkamp's split of a double into two 26-bit halves
+
+
+def _split(x):
+    c = _SPLITTER * x
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def weighted_sum_by(weights):
+    """The reduction values -> sum_i values[i] * weights[i], weights split once.
+
+    The sum is rounded as fused multiply-adds in atom order from +0.0:
+    acc = fma(v_i, w_i, acc). This is what OpenBLAS's ddot computes for up
+    to 15 atoms; from 16 on its blocked kernel rounds differently. Python
+    has no fma before 3.13, so each step is emulated exactly: Dekker's
+    two-product gives v_i w_i as prod + err without rounding, and math.fsum
+    rounds prod + err + acc correctly. The emulation is exact while no
+    |v_i| or |w_i| exceeds about 1e300 (the split would overflow) and no
+    nonzero product falls below about 1e-290 (err would not be
+    representable). Since acc starts at +0.0, an exact zero sum is +0.0,
+    as fsum returns it. Outside the domain the sum can differ from fma's
+    but does not raise: a non-finite or overflowing step is a plain add.
+    """
+    w0 = float(weights[0]) if len(weights) else 0.0
+    rest = [(float(w), *_split(float(w))) for w in weights[1:]]
+    fsum = math.fsum
+
+    def weighted(values):
+        it = iter(values)
+        acc = next(it, 0.0) * w0 + 0.0  # fma(v_0, w_0, +0.0)
+        for v, (w, w_hi, w_lo) in zip(it, rest):
+            prod = v * w
+            c = _SPLITTER * v
+            v_hi = c - (c - v)
+            v_lo = v - v_hi
+            err = ((v_hi * w_hi - prod) + v_hi * w_lo + v_lo * w_hi) + v_lo * w_lo
+            try:
+                acc = fsum((prod, err, acc))
+            except (ValueError, OverflowError):  # inf - inf, or a sum past the float range
+                acc = prod + acc
+        return acc
+
+    return weighted
+
+
+def weighted_sum(values, weights):
+    """sum_i values[i] * weights[i] as sequential fma in atom order (see weighted_sum_by)."""
+    if len(values) != len(weights):
+        raise ValueError(f"values and weights differ in length: {len(values)} vs {len(weights)}")
+    return weighted_sum_by(weights)(values)
+
 
 class ValidationError(ValueError):
     """Raised when one or more model invariants are violated.
@@ -118,7 +170,7 @@ class AversionDistribution:
 
     @property
     def mean(self):
-        return float(np.dot(self.gammas, self.probs))
+        return weighted_sum(self.gammas, self.probs)
 
     def violations(self):
         v = []

@@ -106,6 +106,60 @@ def test_manifest_non_numeric_value_is_exit_1(cfg_path, tmp_path, capsys):
     assert err.startswith("error:") and "kappa" in err and err.count("\n") == 1
 
 
+def _simulate_manifest(cfg_path, tmp_path, flags):
+    """A simulate manifest of a real run, with its flags replaced."""
+    out = str(tmp_path / "sim")
+    argv = ["simulate", "--config", cfg_path, "--out", out, "--paths", "10", "--strategy", "zero"]
+    assert main(argv) == EXIT_OK
+    with open(os.path.join(out, "manifest.json"), encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    manifest["flags"] = flags
+    path = tmp_path / "edited_manifest.json"
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    return str(path)
+
+
+def _assert_one_error_line(capsys, message):
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err and err.count("\n") == 1
+
+
+def test_manifest_flag_of_wrong_type_is_exit_1(cfg_path, tmp_path, capsys):
+    manifest = _simulate_manifest(cfg_path, tmp_path, {"paths": "abc", "strategy": "zero"})
+    capsys.readouterr()
+    assert main(["simulate", "--from-manifest", manifest, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    _assert_one_error_line(capsys, "paths")
+
+
+def test_manifest_flags_not_a_table_is_exit_1(cfg_path, tmp_path, capsys):
+    manifest = _simulate_manifest(cfg_path, tmp_path, [1])
+    capsys.readouterr()
+    assert main(["simulate", "--from-manifest", manifest, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    _assert_one_error_line(capsys, "'flags'")
+
+
+def test_simulate_zero_paths_is_exit_1(cfg_path, tmp_path, capsys):
+    argv = ["simulate", "--config", cfg_path, "--out", str(tmp_path / "s"),
+            "--paths", "0", "--strategy", "zero"]
+    assert main(argv) == EXIT_CONFIG
+    _assert_one_error_line(capsys, "paths")
+
+
+def test_sweep_manifest_round_trip_and_emit_timing(cfg_path, tmp_path):
+    out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
+    argv = ["sweep", "--config", cfg_path, "--out", out1,
+            "--param", "kappa", "--values", "5,9/2", "--observable", "pi_diff"]
+    assert main(argv) == EXIT_OK
+    manifest = os.path.join(out1, "manifest.json")
+    assert main(["sweep", "--from-manifest", manifest, "--out", out2]) == EXIT_OK
+    assert _read(os.path.join(out1, "sweep.csv")) == _read(os.path.join(out2, "sweep.csv"))
+    for out in (out1, out2):
+        with open(os.path.join(out, "manifest.json"), encoding="utf-8") as fh:
+            m = json.load(fh)
+        assert m["flags"] == {"param": "kappa", "values": "5,9/2", "observable": "pi_diff"}
+        assert set(m["timings"]) == {"sweep", "emit"}
+
+
 def test_missing_config_is_exit_1(tmp_path, capsys):
     out = str(tmp_path / "x")
     assert main(["solve", "--config", str(tmp_path / "nope.cfg"), "--out", out]) == EXIT_CONFIG
@@ -232,6 +286,8 @@ def test_reproduce_known_case(tmp_path):
     lines = _read(name).decode().splitlines()
     assert lines[0] == "param,value,t,observable,result"
     assert all(line.startswith("r,") for line in lines[1:4])
+    with open(os.path.join(out, "manifest.json"), encoding="utf-8") as fh:
+        assert set(json.load(fh)["timings"]) == {"reproduce", "emit"}
 
 
 def test_reproduce_unknown_case_lists_ids(tmp_path, capsys):

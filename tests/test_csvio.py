@@ -31,6 +31,41 @@ def test_write_csv_lf_only(tmp_path):
     assert data.decode().splitlines()[0] == "a,b"
 
 
+_CELL = st.one_of(
+    st.floats(allow_nan=False),
+    st.floats(allow_nan=False).map(np.float64),
+    st.integers(min_value=-(2 ** 70), max_value=2 ** 70),
+    st.text(alphabet="abcxyz_019.-"),
+    st.text(alphabet="abcxyz_019.-").map(np.str_),
+)
+
+
+@given(st.lists(st.lists(_CELL, min_size=1, max_size=6), max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_write_csv_row_bytes_equal_fmt_join(tmp_path_factory, rows):
+    """One %-format per row gives fmt's bytes for every column type the
+    writers pass (float, np.float64, int, str, np.str_), mixed freely
+    within a column."""
+    path = tmp_path_factory.mktemp("csv") / "rows.csv"
+    write_csv(path, ["h"], rows)
+    want = "h\n" + "".join(",".join(fmt(v) for v in row) + "\n" for row in rows)
+    assert path.read_bytes() == want.encode("utf-8")
+
+
+def test_write_csv_reads_a_generator_once(tmp_path):
+    reads = []
+
+    def rows():
+        for k in range(3):
+            reads.append(k)
+            yield (k, 0.1 * k, f"r{k}")
+
+    path = tmp_path / "gen.csv"
+    write_csv(path, ["k", "x", "label"], rows())
+    assert reads == [0, 1, 2]
+    assert path.read_text() == "k,x,label\n0,0,r0\n1,0.10000000000000001,r1\n2,0.20000000000000001,r2\n"
+
+
 @given(
     gamma=st.floats(min_value=0.05, max_value=50.0),
     t=st.floats(min_value=0.0, max_value=10.0),

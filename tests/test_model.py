@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqreinvest import (
     AversionDistribution,
@@ -11,8 +14,9 @@ from eqreinvest import (
     ValidationError,
     derive_diffusion,
     validate_config,
+    weighted_sum,
 )
-from eqreinvest.presets import BASE_HESTON, BASE_INSURANCE, CASE_I
+from eqreinvest.presets import BASE_HESTON, BASE_INSURANCE, CASE_I, CASE_II
 
 
 def test_derive_diffusion_table1():
@@ -108,3 +112,63 @@ def test_grid_points_are_multiples_of_step():
     grid = hz.grid()
     m = 1234
     assert grid[m] == m * hz.l
+
+
+def _fma_in_atom_order(values, weights):
+    """Exact oracle: acc = round(v_i * w_i + acc) from acc = +0.0, in atom order.
+
+    int / int division inside float(Fraction) rounds correctly to nearest
+    even, and an exact zero comes out as +0.0, as it does from fma when the
+    accumulator starts at +0.0.
+    """
+    acc = 0.0
+    for v, w in zip(values, weights):
+        acc = float(Fraction(v) * Fraction(w) + Fraction(acc))
+    return acc
+
+
+# The domain where Dekker's two-product is exact: no magnitude near the
+# overflow of the 2^27 + 1 split and no product whose error term would be
+# subnormal. Signed zeros are in it.
+_FACTOR = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(min_value=1e-100, max_value=1e100),
+    st.floats(min_value=-1e100, max_value=-1e-100),
+)
+
+
+@given(st.integers(min_value=1, max_value=16).flatmap(
+    lambda n: st.tuples(st.lists(_FACTOR, min_size=n, max_size=n),
+                        st.lists(_FACTOR, min_size=n, max_size=n))))
+@settings(max_examples=400, deadline=None)
+def test_weighted_sum_is_fma_in_atom_order(pair):
+    values, weights = pair
+    got = weighted_sum(values, weights)
+    want = _fma_in_atom_order(values, weights)
+    assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+def test_weighted_sum_zero_sums_are_positive_zero():
+    assert math.copysign(1.0, weighted_sum([-0.0], [1.0])) == 1.0
+    assert math.copysign(1.0, weighted_sum([-0.0, -0.0], [1.0, 1.0])) == 1.0
+    assert math.copysign(1.0, weighted_sum([-0.5, 0.5], [0.5, 0.5])) == 1.0
+
+
+def test_weighted_sum_outside_the_domain_does_not_raise():
+    # fsum raises on inf - inf and on a finite sum past the float range
+    inf = float("inf")
+    assert math.isnan(weighted_sum([-inf, inf], [0.5, 0.5]))
+    assert weighted_sum([1e300, 1e300], [1e8, 1e8]) == inf
+
+
+def test_weighted_sum_rejects_length_mismatch():
+    with pytest.raises(ValueError, match="length"):
+        weighted_sum([1.0, 2.0], [1.0])
+
+
+def test_mean_is_the_weighted_sum(rng):
+    for dist in (CASE_I, CASE_II):
+        assert dist.mean == weighted_sum(dist.gammas, dist.probs)
+    for n in (1, 3, 6, 16):
+        dist = AversionDistribution.from_lists(rng.uniform(0.1, 5.0, n), rng.dirichlet(np.ones(n)))
+        assert dist.mean == weighted_sum(dist.gammas, dist.probs)
