@@ -4,7 +4,8 @@ Every run writes a manifest.json next to its outputs with the resolved
 config snapshot; re-running a subcommand from that manifest reproduces
 the data files byte-identically (timings aside).
 
-Exit codes: 0 ok, 1 config error, 2 solver blow-up, 3 admissibility failed.
+Exit codes: 0 ok, 1 config error, 2 solver or simulation blow-up, 3 admissibility
+failed.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import os
 import sys
 import time
 
+import numpy as np
+
 from . import __version__
 from .config import ConfigError, _is_number, _parse_number, build_model, load_config, model_to_config_dict
 from .csvio import (
@@ -26,7 +29,7 @@ from .csvio import (
     write_strategy_csv,
 )
 from .model import Horizon, ValidationError, validate_config
-from .montecarlo import estimate_reward, simulate_paths
+from .montecarlo import SimulationError, estimate_reward, simulate_paths
 from .odes import BlowUpError, solve_g
 from .presets import XI, baseline_model
 from .strategy import (
@@ -246,7 +249,10 @@ def cmd_simulate(args):
         hz = Horizon(T=T, M=max(1, int(round(T / step))), x0=model.horizon.x0)
         model = validate_config(model.ins, model.heston, model.dist, hz)
     strategy = _parse_strategy_flag(model, parsed["strategy"])
-    batch = simulate_paths(model, strategy, parsed["paths"], parsed["seed"])
+    # a non-finite state ends the run as a SimulationError; numpy's warnings
+    # on the way there would only repeat it
+    with np.errstate(invalid="ignore", over="ignore"):
+        batch = simulate_paths(model, strategy, parsed["paths"], parsed["seed"], workers=args.threads)
     result = estimate_reward(model, batch)
     timings = {"simulate": time.perf_counter() - t0}
     os.makedirs(args.out, exist_ok=True)
@@ -364,7 +370,13 @@ def build_parser():
     def common(p):
         p.add_argument("--config", help="path to a key=value config file")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--threads", type=int, default=1, help="ignored; sweeps run in one thread")
+        p.add_argument(
+            "--threads",
+            type=int,
+            help="Monte Carlo worker threads for simulate (default: one per usable core; "
+            "at most one per chunk of paths and per core); sweeps and the other "
+            "subcommands run in one thread",
+        )
         p.add_argument("--from-manifest", help="re-run from a previously written manifest")
 
     p = sub.add_parser("solve", help="solve the exponent ODEs and emit strategy CSVs")
@@ -405,11 +417,13 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.threads is not None:
+            _integer_flag(1)("threads", args.threads)
         return args.func(args)
     except (ConfigError, ValidationError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except BlowUpError as exc:
+    except (BlowUpError, SimulationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BLOWUP
 

@@ -7,7 +7,7 @@ across workers and re-validation of the same inputs is byte-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -247,16 +247,31 @@ def derive_diffusion(ins: InsuranceParams) -> DiffusionCoefficients:
     )
 
 
+def _non_finite(ins, heston, dist, horizon):
+    """(name, value) of every real-number input that is infinite or NaN;
+    inputs of another type are left to the range checks."""
+    named = [(f.name, getattr(part, f.name)) for part in (ins, heston, horizon) for f in fields(part)]
+    named += [(f"gamma[{i}]", g) for i, g in enumerate(dist.gammas)]
+    named += [(f"prob[{i}]", p) for i, p in enumerate(dist.probs)]
+    return [
+        (name, val)
+        for name, val in named
+        if isinstance(val, (int, float, np.integer, np.floating)) and not math.isfinite(val)
+    ]
+
+
 def validate_config(ins, heston, dist, horizon) -> ValidatedModel:
     """Check every type invariant and return the immutable model bundle.
 
-    Violations are aggregated: a single ValidationError lists all of them.
+    Every input must be finite. Violations are aggregated: a single
+    ValidationError lists all of them, one per input (a non-finite input
+    is not also reported by its range check).
     """
-    violations = []
-    violations += ins.violations()
-    violations += heston.violations()
-    violations += dist.violations()
-    violations += horizon.violations()
+    non_finite = _non_finite(ins, heston, dist, horizon)
+    reported = tuple(f"{name} " for name, _ in non_finite)
+    violations = [f"{name} must be finite, got {val}" for name, val in non_finite]
+    for part in (ins, heston, dist, horizon):
+        violations += [v for v in part.violations() if not v.startswith(reported)]
     if violations:
         raise ValidationError(violations)
     return ValidatedModel(

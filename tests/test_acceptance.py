@@ -6,6 +6,7 @@ full run always shows the complete scoreboard.
 """
 
 import math
+import os
 import sys
 import time
 
@@ -296,7 +297,7 @@ def test_criterion_09_equilibrium_spot_check(report):
     report(9, "no constant perturbation beats equilibrium beyond 3 SE", ok, detail)
 
 
-def test_criterion_10_determinism(tmp_path, report):
+def test_criterion_10_determinism(tmp_path, report, monkeypatch):
     cfg = tmp_path / "det.cfg"
     cfg.write_text(
         "eta1 = 0.3\neta2 = 0.5\nlambda1 = 1\nmu1 = 0.1\nmu2 = 0.2\n"
@@ -321,6 +322,18 @@ def test_criterion_10_determinism(tmp_path, report):
     sims = [open(f"{o}/simulation.csv", "rb").read() for o in sim_outs]
     ok_sim = sims[0] == sims[1]
 
-    ok = ok_sweep and ok_sim
+    # three chunks of paths (M = 20), so the thread counts split the work;
+    # four usable cores are reported, so --threads 4 starts three helper
+    # threads on any machine
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+    thread_outs = [str(tmp_path / f"simt{n}") for n in (1, 4)]
+    sim_chunks = ["simulate", "--config", str(cfg), "--paths", "40000", "--horizon", "0.1"]
+    assert cli_main(sim_chunks + ["--out", thread_outs[0], "--threads", "1"]) == 0
+    assert cli_main(sim_chunks + ["--out", thread_outs[1], "--threads", "4"]) == 0
+    sims_threads = [open(f"{o}/simulation.csv", "rb").read() for o in thread_outs]
+    ok_sim_threads = sims_threads[0] == sims_threads[1]
+
+    ok = ok_sweep and ok_sim and ok_sim_threads
     report(10, "identical configs and seeds give byte-identical CSVs across thread counts",
-            ok, f"sweep identical={ok_sweep}, simulate identical={ok_sim}")
+            ok, f"sweep identical={ok_sweep}, simulate identical={ok_sim}, "
+            f"simulate across thread counts identical={ok_sim_threads}")

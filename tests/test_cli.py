@@ -145,6 +145,32 @@ def test_simulate_zero_paths_is_exit_1(cfg_path, tmp_path, capsys):
     _assert_one_error_line(capsys, "paths")
 
 
+def test_threads_below_1_is_exit_1(cfg_path, tmp_path, capsys):
+    argv = ["simulate", "--config", cfg_path, "--out", str(tmp_path / "s"),
+            "--paths", "10", "--strategy", "zero", "--threads", "0"]
+    assert main(argv) == EXIT_CONFIG
+    _assert_one_error_line(capsys, "threads")
+
+
+def test_simulate_divergence_is_exit_2(cfg_path, tmp_path, capsys):
+    argv = ["simulate", "--config", cfg_path, "--out", str(tmp_path / "s"),
+            "--paths", "10", "--strategy", "const:0,inf"]
+    assert main(argv) == EXIT_BLOWUP
+    _assert_one_error_line(capsys, "error: non-finite state at step 1 on 10 path(s)")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("line, edited, name", [
+    ("gammas = 0.5, 4", "gammas = 0.5, inf", "gamma[1]"),
+    ("T = 10", "T = inf", "T"),
+])
+def test_non_finite_config_value_is_exit_1(tmp_path, capsys, line, edited, name):
+    p = tmp_path / "inf.cfg"
+    p.write_text(BASE_CFG.replace(line, edited), encoding="utf-8")
+    assert main(["solve", "--config", str(p), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    _assert_one_error_line(capsys, f"{name} must be finite, got inf")
+
+
 def test_sweep_manifest_round_trip_and_emit_timing(cfg_path, tmp_path):
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
     argv = ["sweep", "--config", cfg_path, "--out", out1,

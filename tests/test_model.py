@@ -88,6 +88,23 @@ def test_validate_config_aggregates_violations():
     assert len(exc.value.violations) >= 3
 
 
+def test_validate_config_reports_bad_types_not_type_errors():
+    with pytest.raises(ValidationError) as exc:
+        validate_config(BASE_INSURANCE, BASE_HESTON, CASE_I, Horizon(T=1.0, M=None))
+    assert exc.value.violations == ["M must be an integer >= 1, got None"]
+
+
+def test_validate_config_reports_a_non_finite_input_once():
+    bad_dist = AversionDistribution.from_lists([0.5, math.inf], [0.5, 0.5])
+    with pytest.raises(ValidationError) as exc:
+        validate_config(BASE_INSURANCE, BASE_HESTON, bad_dist, Horizon(T=math.nan, M=0))
+    assert exc.value.violations == [
+        "T must be finite, got nan",
+        "gamma[1] must be finite, got inf",
+        "M must be an integer >= 1, got 0",
+    ]
+
+
 def test_validate_config_idempotent():
     args = (BASE_INSURANCE, BASE_HESTON, CASE_I, Horizon(T=10.0, M=10000))
     assert validate_config(*args) == validate_config(*args)

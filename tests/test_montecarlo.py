@@ -1,9 +1,11 @@
 import dataclasses
 import math
+import os
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from eqreinvest import (
@@ -14,10 +16,17 @@ from eqreinvest import (
     simulate_paths,
     simulate_strategies,
 )
-from eqreinvest.montecarlo import CHUNK_SIZE
+from eqreinvest.montecarlo import CHUNK_SIZE, worker_count
 from eqreinvest.model import AversionDistribution, Horizon, validate_config
 from eqreinvest.presets import BASE_HESTON, BASE_INSURANCE, baseline_model
 from eqreinvest.strategy import equilibrium_strategy
+
+
+@pytest.fixture
+def four_cores(monkeypatch):
+    """Report four usable cores, so that up to four workers start real
+    threads on any machine."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
 
 
 @pytest.fixture(scope="module")
@@ -237,3 +246,71 @@ def test_spot_check_rows_match_per_strategy_runs():
         rate_se = float(np.std(eq.weights - res.weights, ddof=1) / math.sqrt(n)) / h
         assert dataclasses.astuple(row) == (q, pi, h, eq.reward, res.reward, rate, rate_se,
                                             rate < -3.0 * rate_se)
+
+
+def test_workers_do_not_change_outputs(four_cores):
+    """Mixed strategies over three chunks, the last one short: every output
+    of two workers is byte-equal to the serial run's."""
+    from eqreinvest.odes import solve_g
+
+    m = baseline_model("caseII", T=1.0, M=20)
+    strategies = [equilibrium_strategy(m, solve_g(m)), "zero", (0.3, 7 / 15)]
+    n = 2 * CHUNK_SIZE + 5
+    assert worker_count(3, 2) == 2
+    serial = simulate_strategies(m, strategies, n, seed=12, record_full=True, workers=1)
+    for a, b in zip(serial, simulate_strategies(m, strategies, n, seed=12, record_full=True, workers=2)):
+        _same_batch(a, b)
+
+
+def _diverging_run(workers, n_paths=2 * CHUNK_SIZE + 5):
+    m = baseline_model("caseI", T=1.0, M=20)
+    return simulate_paths(m, (0.0, float("inf")), n_paths, seed=5, workers=workers)
+
+
+@pytest.mark.parametrize("n_paths", [CHUNK_SIZE + 5, 2 * CHUNK_SIZE + 5])
+def test_simulation_error_is_the_lowest_failing_chunks(four_cores, n_paths):
+    # every chunk fails at step 1 (the last on 5 paths); the error is
+    # chunk 0's, as in a serial run
+    assert worker_count(2, 2) == 2
+    errors = []
+    for workers in (1, 2):
+        with np.errstate(invalid="ignore"), pytest.raises(SimulationError) as exc:
+            _diverging_run(workers, n_paths)
+        errors.append((exc.value.step, exc.value.n_bad))
+    assert errors == [(1, CHUNK_SIZE)] * 2
+
+
+def test_errstate_reaches_every_worker(four_cores):
+    """Under np.errstate(invalid="raise") a divergence raises
+    FloatingPointError with two workers as it does serially, and no worker
+    falls back to numpy's default warning."""
+    assert worker_count(3, 2) == 2
+    for workers in (1, 2):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+                _diverging_run(workers)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], workers
+
+
+def test_worker_count_caps(four_cores):
+    assert worker_count(7) == 4
+    assert worker_count(3) == 3
+    assert worker_count(7, 2) == 2
+    assert worker_count(1, 4) == 1
+    assert worker_count(3, 10 ** 6) == 3
+    assert worker_count(10 ** 6, 10 ** 6) == 4
+    with pytest.raises(ValueError):
+        worker_count(3, 0)
+
+
+# the fixture only patches a lookup, so sharing it across examples is sound
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(1, 3 * CHUNK_SIZE), st.integers(1, 4), st.integers(1, 4), st.integers(0, 2 ** 32))
+def test_workers_do_not_change_outputs_property(four_cores, n_paths, workers, M, seed):
+    m = baseline_model("caseI", T=0.1, M=M)
+    strategies = [(0.4, 0.9), "zero"]
+    serial = simulate_strategies(m, strategies, n_paths, seed, record_full=True, workers=1)
+    for a, b in zip(serial, simulate_strategies(m, strategies, n_paths, seed, record_full=True,
+                                                workers=workers)):
+        _same_batch(a, b)
