@@ -39,6 +39,7 @@ from .strategy import (
     check_admissibility,
     equilibrium_strategy,
     pi_bar_path,
+    pi_hat_path,
     q_hat,
     regime_classification,
     retention_ratio,

@@ -16,12 +16,15 @@ import json
 import os
 import sys
 import time
+from itertools import repeat
 
 import numpy as np
 
 from . import __version__
 from .config import ConfigError, _is_number, _parse_number, build_model, load_config, model_to_config_dict
 from .csvio import (
+    fmt,
+    fmt_column,
     write_admissibility_csv,
     write_csv,
     write_g_csv,
@@ -30,11 +33,12 @@ from .csvio import (
 )
 from .model import Horizon, ValidationError, validate_config
 from .montecarlo import SimulationError, estimate_reward, simulate_paths
-from .odes import BlowUpError, solve_g
+from .odes import BlowUpError, solve_g, solve_g2_coupled
 from .presets import XI, baseline_model
 from .strategy import (
     check_admissibility,
     equilibrium_strategy,
+    pi_hat_path,
     q_hat as strategy_q_hat,
     regime_classification,
 )
@@ -266,38 +270,37 @@ def _sweep_cell(model, param, value, observable):
     changed = dataclasses.replace(getattr(model, part), **{param: value})
     cell = dataclasses.replace(model, **{part: changed})
     cell = validate_config(cell.ins, cell.heston, cell.dist, cell.horizon)
-    grid = cell.horizon.grid()
     if observable == "q_hat":
-        # analytic, no ODE solve needed
-        return grid, strategy_q_hat(cell, grid)
-    spath = equilibrium_strategy(cell, solve_g(cell))
-    return grid, spath.pi_hat
+        return strategy_q_hat(cell, cell.horizon.grid())
+    # g2 alone: solve_g2_coupled raises unless every value is finite
+    return pi_hat_path(cell, solve_g2_coupled(cell))
 
 
 def run_sweep(model, param, values, observable):
     """Evaluate the observable over the parameter grid, one cell at a time.
 
-    Returns rows (param, value, t, observable, result) as a generator. The
-    cells are evaluated here, so a bad value raises before any row is read;
-    the rows are built as they are read. In pi_diff mode the first value is
-    the baseline and rows hold pi_hat(t; value) - pi_hat(t; baseline) for
-    the remaining values.
+    Returns rows (param, value, t, observable, result) of strings as a
+    generator. The cells are evaluated here, so a bad value raises before
+    any row is read; rows are formatted as they are read, the shared t grid
+    once. In pi_diff mode the first value is the baseline and rows hold
+    pi_hat(t; value) - pi_hat(t; baseline) for the remaining values.
     """
     _params_holding(model, param)
     if observable not in ("q_hat", "pi_hat", "pi_diff"):
         raise ConfigError(f"unknown observable {observable!r}")
     base_obs = "pi_hat" if observable == "pi_diff" else observable
-    cells = [_sweep_cell(model, param, v, base_obs) for v in values]
+    curves = [_sweep_cell(model, param, v, base_obs) for v in values]
     label = observable
     if observable == "pi_diff":
-        baseline = cells[0][1]
-        values, cells = values[1:], [(grid, curve - baseline) for grid, curve in cells[1:]]
+        values, curves = values[1:], [curve - curves[0] for curve in curves[1:]]
         label = "pi_hat_diff"
-    return (
-        (param, value, t, label, result)
-        for value, (grid, curve) in zip(values, cells)
-        for t, result in zip(grid.tolist(), curve.tolist())
-    )
+
+    def rows():
+        ts = list(fmt_column(model.horizon.grid()))
+        for value, curve in zip(values, curves):
+            yield from zip(repeat(param), repeat(fmt(value)), ts, repeat(label), fmt_column(curve))
+
+    return rows()
 
 
 def cmd_sweep(args):

@@ -25,12 +25,12 @@ EXP_OVERFLOW_LIMIT = 700.0
 
 class ValueRangeError(ArithmeticError):
     """Ansatz exponent out of floating-point range; the value is not
-    representable rather than infinite."""
+    representable rather than infinite or zero."""
 
     def __init__(self, exponent):
         self.exponent = exponent
         super().__init__(
-            f"ansatz exponent {exponent:.6g} exceeds {EXP_OVERFLOW_LIMIT:g}; value out of range"
+            f"ansatz exponent {exponent:.6g} beyond +-{EXP_OVERFLOW_LIMIT:g}; value out of range"
         )
 
 
@@ -74,6 +74,13 @@ def pi_bar_path(model: ValidatedModel, gsol: GSolution) -> np.ndarray:
     return pi_bar(model.heston, model.mean_gamma, probs @ gsol.g2)
 
 
+def pi_hat_path(model: ValidatedModel, g2) -> np.ndarray:
+    """Equilibrium investment pi_hat = pi_bar * e^{-r(T-t)} on the grid, from g2 alone."""
+    hz = model.horizon
+    probs = np.asarray(model.dist.probs)
+    return pi_bar(model.heston, model.mean_gamma, probs @ g2) * np.exp(-model.heston.r * (hz.T - hz.grid()))
+
+
 def _classify(q):
     regime = np.where(q < 1.0, REGIME_REINSURANCE, REGIME_NEW_BUSINESS)
     return np.where(q == 1.0, REGIME_BOUNDARY, regime)
@@ -81,11 +88,8 @@ def _classify(q):
 
 def equilibrium_strategy(model: ValidatedModel, gsol: GSolution) -> StrategyPath:
     """Assemble the equilibrium strategy path from the G-solution."""
-    grid = gsol.grid
-    discount = np.exp(-model.heston.r * (model.horizon.T - grid))
-    q = q_hat(model, grid)
-    pi = pi_bar_path(model, gsol) * discount
-    return StrategyPath(grid=grid, q_hat=q, pi_hat=pi, regime=_classify(q))
+    q = q_hat(model, gsol.grid)
+    return StrategyPath(grid=gsol.grid, q_hat=q, pi_hat=pi_hat_path(model, gsol.g2), regime=_classify(q))
 
 
 def check_admissibility(model: ValidatedModel, gsol: GSolution) -> AdmissibilityReport:
@@ -149,7 +153,7 @@ class ValueSurface:
         g1, g2, g3 = self._g_at(t)
         gamma = self._model.dist.gammas[i]
         exponent = g1[i] * x + g2[i] * v + g3[i]
-        if exponent > EXP_OVERFLOW_LIMIT:
+        if abs(exponent) > EXP_OVERFLOW_LIMIT:  # e^exponent overflows, or underflows to -0.0
             raise ValueRangeError(exponent)
         return -math.exp(exponent) / gamma
 

@@ -1,11 +1,13 @@
-"""Golden digests: the bytes of the figure pipeline's data files.
+"""Golden digests: the bytes of the CLI's data files.
 
-The sha256 of each file was recorded from the program before the g2
-reduction became a plain-Python fma and CSV rows became one %-format each;
-those changes kept every byte. A later change that moves an output bit
-fails here. The digests hold for IEEE float64 with a BLAS whose gemv rounds
-as OpenBLAS does on x86-64 (strategy.pi_bar_path reduces over the atoms
-with probs @ g2).
+The sha256 of the solve, check and fig51 files was recorded from the
+program before the g2 reduction became a plain-Python fma and CSV rows
+became one %-format each; those of the sweep, simulate and fig7 files
+before the writers formatted column by column and sweep cells solved g2
+alone. Those changes kept every byte. A later change that moves an output
+bit fails here. The digests hold for IEEE float64 with a BLAS whose gemv
+rounds as OpenBLAS does on x86-64 (strategy.pi_bar_path and pi_hat_path
+reduce over the atoms with probs @ g2).
 """
 
 import hashlib
@@ -30,8 +32,8 @@ rho = -0.5
 v0 = 0.0225
 gammas = 0.5, 4
 probs = {probs}
-T = 10
-M = 2000
+T = {T}
+M = {M}
 seed = 42
 """
 
@@ -51,6 +53,22 @@ DIGESTS = {
 }
 
 REPRODUCE_DIGEST = "9ead5694262f4fc2ad6e9e1ef2c3b15c8d501994b6c2f4aaf030d02b22632992"
+FIG7_DIGEST = "2f502aa37ffb7211157276a832d6b2b467f3f57d9cf9187ef50687af026d32c1"
+
+# (argv after --config/--out, case, output file) -> sha256, on the config
+# above at T = 1, M = 1000
+SHORT_RUNS = {
+    ("sweep --param kappa --values 4,9/2,5,16/3,6 --observable pi_hat", "caseI", "sweep.csv"):
+        "1459b429fc994ebf6d9a3ab72063c56df53a937d40906b4b6844f447184c7d2e",
+    ("sweep --param sigma --values 1/4,0.15,7/20 --observable pi_diff", "caseII", "sweep.csv"):
+        "79e2863ba54304f2e4b9bcd52e587d54b046e6b16973ff9a0dd68599abc60b4d",
+    ("sweep --param r --values 0.03,1/20,0.07 --observable q_hat", "caseI", "sweep.csv"):
+        "e0b3382dd2af2bf7a5b0da2aee5ffd14e4b717372ca302f7451ca04055eda157",
+    ("simulate --paths 3000 --strategy equilibrium --threads 1", "caseI", "simulation.csv"):
+        "39143e51eeecdeeb02b3e93d57875e1a8b130c6dda2fe0f997280e1bf9f4153c",
+    ("simulate --paths 3000 --strategy const:1/2,7/15 --threads 1", "caseI", "simulation.csv"):
+        "3e14a5baff2b87421c61243050deaac6f4befc281df2dbd6107a87c28803678d",
+}
 
 
 def _sha256(path):
@@ -61,7 +79,7 @@ def _sha256(path):
 @pytest.mark.parametrize("command,case", [("solve", "caseI"), ("solve", "caseII"), ("check", "caseII")])
 def test_cli_outputs_match_golden_digests(tmp_path, command, case):
     cfg = tmp_path / f"{case}.cfg"
-    cfg.write_text(CONFIG.format(probs=PROBS[case]), encoding="utf-8")
+    cfg.write_text(CONFIG.format(probs=PROBS[case], T=10, M=2000), encoding="utf-8")
     out = tmp_path / "out"
     code = main([command, "--config", str(cfg), "--out", str(out)])
     assert code == (EXIT_ADMISSIBILITY if command == "check" else EXIT_OK)
@@ -73,3 +91,17 @@ def test_cli_outputs_match_golden_digests(tmp_path, command, case):
 def test_reproduce_fig51_matches_golden_digest(tmp_path):
     assert main(["reproduce", "--case", "fig51/T10/caseII", "--out", str(tmp_path)]) == EXIT_OK
     assert _sha256(tmp_path / "fig51_T10_caseII.csv") == REPRODUCE_DIGEST
+
+
+@pytest.mark.parametrize("argv,case,name", list(SHORT_RUNS))
+def test_sweep_and_simulate_match_golden_digests(tmp_path, argv, case, name):
+    cfg = tmp_path / f"{case}.cfg"
+    cfg.write_text(CONFIG.format(probs=PROBS[case], T=1, M=1000), encoding="utf-8")
+    command, *flags = argv.split()
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path), *flags]) == EXIT_OK
+    assert _sha256(tmp_path / name) == SHORT_RUNS[(argv, case, name)]
+
+
+def test_reproduce_fig7_matches_golden_digest(tmp_path):
+    assert main(["reproduce", "--case", "fig7/T10/caseI", "--out", str(tmp_path)]) == EXIT_OK
+    assert _sha256(tmp_path / "fig7_T10_caseI.csv") == FIG7_DIGEST

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eqreinvest import BlowUpError, RiccatiConstants, solve_g
 from eqreinvest.model import AversionDistribution, HestonParams, Horizon, validate_config
@@ -81,6 +83,17 @@ def test_coupled_solver_matches_closed_form_single_atom(model_single, gsol_singl
     assert np.max(np.abs(gsol_single.g2[0] - ref)) < 1e-6
 
 
+@given(rho=st.floats(min_value=-1.0, max_value=1.0), gamma=st.floats(min_value=0.05, max_value=50.0))
+@example(rho=-1.0, gamma=1.0)  # k3 = 0: the closed form's linear-ODE branch
+@example(rho=1.0, gamma=1.0)
+@settings(max_examples=25, deadline=None)
+def test_single_atom_solver_matches_closed_form_for_any_rho(rho, gamma):
+    """Second order at l = 2.5e-3 leaves about 2.2e-7 for any rho."""
+    m = baseline_model(AversionDistribution.single(gamma), T=10.0, M=4000, rho=rho)
+    ref = g2_closed_single(m.horizon.grid(), m.heston, 10.0)
+    assert np.max(np.abs(solve_g2_coupled(m)[0] - ref)) < 1e-6
+
+
 def test_g2_independent_of_single_gamma_value():
     sols = []
     for gamma in (0.5, 4.0):
@@ -144,7 +157,18 @@ def test_blow_up_detected():
     m = validate_config(BASE_INSURANCE, heston, CASE_I, Horizon(T=10.0, M=10000))
     with pytest.raises(BlowUpError) as exc:
         solve_g2_coupled(m)
-    assert exc.value.step >= 1
+    # recorded from the solver that tested the whole step with isfinite, then max |h2|
+    assert exc.value.step == 1348
+    assert exc.value.value == 69718679217.9561
+
+
+def test_blow_up_to_non_finite_in_first_step():
+    heston = HestonParams(r=0.05, xi=1e200, kappa=5.0, theta=1.0, sigma=1.0, rho=-0.9, v0=1.0)
+    m = validate_config(BASE_INSURANCE, heston, CASE_I, Horizon(T=1.0, M=10))
+    with pytest.raises(BlowUpError) as exc:
+        solve_g2_coupled(m)
+    assert exc.value.step == 1
+    assert exc.value.value == math.inf
 
 
 def test_minimal_grid_runs():

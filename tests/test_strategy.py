@@ -1,7 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqreinvest import (
     AdmissibilityReport,
@@ -13,9 +16,9 @@ from eqreinvest import (
     value_function,
 )
 from eqreinvest.model import AversionDistribution, HestonParams, Horizon, validate_config
-from eqreinvest.odes import solve_g
+from eqreinvest.odes import solve_g, solve_g2_coupled
 from eqreinvest.presets import BASE_HESTON, BASE_INSURANCE, CASE_I, CASE_II, baseline_model
-from eqreinvest.strategy import pi_bar_path, q_hat, retention_ratio
+from eqreinvest.strategy import pi_bar_path, pi_hat_path, q_hat, retention_ratio
 
 
 def test_retention_ratio_case1(model_case1):
@@ -93,6 +96,26 @@ def test_value_function_terminal_identity(model_case1, gsol_case1):
         assert surf.value(10.0, x, 0.0225) == pytest.approx(x, abs=1e-12)
 
 
+@pytest.fixture(scope="module")
+def case2_short():
+    model = baseline_model("caseII", T=1.0, M=1000)
+    return model, solve_g2_coupled(model)
+
+
+@given(lambda1=st.floats(min_value=1e-3, max_value=1e3))
+@settings(max_examples=25, deadline=None)
+def test_g2_pi_hat_q_hat_bit_identical_for_any_lambda1(case2_short, lambda1):
+    """The claim intensity cancels: g2 never sees it and q_hat uses the
+    reduced retention ratio, so every bit stays."""
+    base, base_g2 = case2_short
+    m = validate_config(replace(base.ins, lambda1=lambda1), base.heston, base.dist, base.horizon)
+    g2 = solve_g2_coupled(m)
+    grid = m.horizon.grid()
+    assert g2.tobytes() == base_g2.tobytes()
+    assert pi_hat_path(m, g2).tobytes() == pi_hat_path(base, base_g2).tobytes()
+    assert q_hat(m, grid).tobytes() == q_hat(base, grid).tobytes()
+
+
 def test_value_function_increasing_in_wealth(model_case1, gsol_case1):
     surf = value_function(model_case1, gsol_case1)
     vals = [surf.value(5.0, x, 0.0225) for x in (0.0, 1.0, 2.0)]
@@ -103,6 +126,15 @@ def test_atom_value_overflow_guard(model_case1, gsol_case1):
     surf = value_function(model_case1, gsol_case1)
     with pytest.raises(ValueRangeError):
         surf.atom_value(10.0, -1000.0, 0.0225, i=1)  # exponent = 4000
+
+
+def test_atom_value_underflow_guard(model_case1, gsol_case1):
+    """Symmetric to overflow: e^{-4000} would give -0.0, not a value."""
+    surf = value_function(model_case1, gsol_case1)
+    with pytest.raises(ValueRangeError) as exc:
+        surf.atom_value(10.0, 1000.0, 0.0225, i=1)  # exponent = -4000
+    assert exc.value.exponent == -4000.0
+    assert surf.atom_value(10.0, 100.0, 0.0225, i=1) < 0.0  # exponent = -400
 
 
 def test_regime_reinsurance_throughout(model_case1):
