@@ -16,22 +16,24 @@ import json
 import os
 import sys
 import time
-from itertools import repeat
 
 import numpy as np
 
 from . import __version__
 from .config import ConfigError, _is_number, _parse_number, build_model, load_config, model_to_config_dict
 from .csvio import (
+    block_rows,
     fmt,
-    fmt_column,
+    fmt17,
+    row_spans,
+    text_column,
     write_admissibility_csv,
     write_csv,
     write_g_csv,
     write_simulation_csv,
     write_strategy_csv,
 )
-from .model import Horizon, ValidationError, validate_config
+from .model import Horizon, ValidationError, memory_violation, validate_config
 from .montecarlo import SimulationError, estimate_reward, simulate_paths
 from .odes import BlowUpError, solve_g, solve_g2_coupled
 from .presets import XI, baseline_model
@@ -130,6 +132,14 @@ def _integer_flag(low, high=None):
     return parse
 
 
+def _paths_flag(name, value):
+    value = _integer_flag(1)(name, value)
+    too_big = memory_violation(f"flag {name} = {value}: the terminal wealth and variance arrays", 2 * value)
+    if too_big:
+        raise ConfigError(too_big)
+    return value
+
+
 def _text_flag(name, value):
     if not isinstance(value, str):
         raise ConfigError(f"flag {name} must be a string, got {value!r}")
@@ -153,7 +163,7 @@ def _values_flag(name, value):
 # name -> parse(name, value): the value a run uses, or a ConfigError. A flag
 # comes from the command line, else the manifest, else the command's default.
 FLAGS = {
-    "paths": _integer_flag(1),
+    "paths": _paths_flag,  # an integer >= 1 whose terminal arrays fit in memory
     "seed": _integer_flag(0, 2 ** 64),  # a Philox key word
     "horizon": _horizon_flag,
     "strategy": _text_flag,
@@ -208,8 +218,7 @@ def cmd_solve(args):
 def cmd_check(args):
     t0 = time.perf_counter()
     model, seed, _ = _resolve_model(args)
-    gsol = solve_g(model)
-    report = check_admissibility(model, gsol)
+    report = check_admissibility(model, solve_g2_coupled(model))  # reads g2 alone
     timings = {"check": time.perf_counter() - t0}
     os.makedirs(args.out, exist_ok=True)
     write_admissibility_csv(os.path.join(args.out, "admissibility.csv"), model, report)
@@ -279,9 +288,10 @@ def _sweep_cell(model, param, value, observable):
 def run_sweep(model, param, values, observable):
     """Evaluate the observable over the parameter grid, one cell at a time.
 
-    Returns rows (param, value, t, observable, result) of strings as a
-    generator. The cells are evaluated here, so a bad value raises before
-    any row is read; rows are formatted as they are read, the shared t grid
+    Returns the rows (param, value, t, observable, result) for write_csv,
+    one line each, as a generator. The cells are evaluated here, so a bad
+    value raises before any row is read; lines are built a block at a time
+    as they are read, the shared t grid and each constant column formatted
     once. In pi_diff mode the first value is the baseline and rows hold
     pi_hat(t; value) - pi_hat(t; baseline) for the remaining values.
     """
@@ -295,12 +305,15 @@ def run_sweep(model, param, values, observable):
         values, curves = values[1:], [curve - curves[0] for curve in curves[1:]]
         label = "pi_hat_diff"
 
-    def rows():
-        ts = list(fmt_column(model.horizon.grid()))
+    def blocks():
+        ts = fmt17(model.horizon.grid())
+        name, tag = text_column([param]), text_column([label])
         for value, curve in zip(values, curves):
-            yield from zip(repeat(param), repeat(fmt(value)), ts, repeat(label), fmt_column(curve))
+            shown = text_column([fmt(value)])
+            for a, b in row_spans(len(ts)):
+                yield [name, shown, ts[a:b], tag, fmt17(curve[a:b])]
 
-    return rows()
+    return block_rows(blocks())
 
 
 def cmd_sweep(args):

@@ -6,7 +6,9 @@ across workers and re-validation of the same inputs is byte-identical.
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -260,18 +262,43 @@ def _non_finite(ins, heston, dist, horizon):
     ]
 
 
+@functools.cache
+def physical_memory():
+    """Bytes of physical memory, or None where os.sysconf cannot tell."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def memory_violation(what, n_values):
+    """Why n_values float64 values of what cannot be held, or None when
+    they fit in physical memory (or it is unknown)."""
+    memory = physical_memory()
+    if memory is None or 8 * n_values <= memory:
+        return None
+    return (f"{what} need {8 * n_values / 2 ** 30:.3g} GiB as float64, "
+            f"more than the {memory / 2 ** 30:.3g} GiB of physical memory")
+
+
 def validate_config(ins, heston, dist, horizon) -> ValidatedModel:
     """Check every type invariant and return the immutable model bundle.
 
     Every input must be finite. Violations are aggregated: a single
     ValidationError lists all of them, one per input (a non-finite input
-    is not also reported by its range check).
+    is not also reported by its range check). Once the inputs are valid,
+    the grid and the g1, g2, g3 arrays ((3n+1)(M+1) float64 values) must
+    fit in physical memory.
     """
     non_finite = _non_finite(ins, heston, dist, horizon)
     reported = tuple(f"{name} " for name, _ in non_finite)
     violations = [f"{name} must be finite, got {val}" for name, val in non_finite]
     for part in (ins, heston, dist, horizon):
         violations += [v for v in part.violations() if not v.startswith(reported)]
+    if not violations:
+        too_big = memory_violation(f"M = {horizon.M}: the grid and the g arrays of {dist.n} atom(s)",
+                                   (3 * dist.n + 1) * (horizon.M + 1))
+        violations += [too_big] if too_big else []
     if violations:
         raise ValidationError(violations)
     return ValidatedModel(

@@ -176,7 +176,7 @@ def solve_g2_coupled(model: ValidatedModel) -> np.ndarray:
         return exp(-r * s), g1
 
     h = [0.0] * n
-    rows = [h]
+    flat = list(h)  # every step's state, one after another
     decay, g1 = at(s_grid[0])
     for s in s_grid[1:]:
         decay_next, g1_next = at(s)
@@ -195,12 +195,13 @@ def solve_g2_coupled(model: ValidatedModel) -> np.ndarray:
                 blown = True
         h = h_next
         if blown:
+            step = len(flat) // n
             if not all(map(math.isfinite, h)):
-                raise BlowUpError(len(rows), float("inf"))
-            raise BlowUpError(len(rows), max(map(abs, h)))
-        rows.append(h)
+                raise BlowUpError(step, float("inf"))
+            raise BlowUpError(step, max(map(abs, h)))
+        flat += h
         decay, g1 = decay_next, g1_next
-    return np.ascontiguousarray(np.array(rows).T[:, ::-1])  # g2(t_m) = h2(T - t_m)
+    return np.ascontiguousarray(np.array(flat).reshape(-1, n).T[:, ::-1])  # g2(t_m) = h2(T - t_m)
 
 
 def solve_g3(model: ValidatedModel, g1, g2) -> np.ndarray:

@@ -68,17 +68,16 @@ class AdmissibilityReport:
         return self.rhs - self.lhs
 
 
-def pi_bar_path(model: ValidatedModel, gsol: GSolution) -> np.ndarray:
-    """Undiscounted investment kernel on the grid."""
+def pi_bar_path(model: ValidatedModel, g2) -> np.ndarray:
+    """Undiscounted investment kernel on the grid, from g2 alone."""
     probs = np.asarray(model.dist.probs)
-    return pi_bar(model.heston, model.mean_gamma, probs @ gsol.g2)
+    return pi_bar(model.heston, model.mean_gamma, probs @ g2)
 
 
 def pi_hat_path(model: ValidatedModel, g2) -> np.ndarray:
     """Equilibrium investment pi_hat = pi_bar * e^{-r(T-t)} on the grid, from g2 alone."""
     hz = model.horizon
-    probs = np.asarray(model.dist.probs)
-    return pi_bar(model.heston, model.mean_gamma, probs @ g2) * np.exp(-model.heston.r * (hz.T - hz.grid()))
+    return pi_bar_path(model, g2) * np.exp(-model.heston.r * (hz.T - hz.grid()))
 
 
 def _classify(q):
@@ -92,18 +91,19 @@ def equilibrium_strategy(model: ValidatedModel, gsol: GSolution) -> StrategyPath
     return StrategyPath(grid=gsol.grid, q_hat=q, pi_hat=pi_hat_path(model, gsol.g2), regime=_classify(q))
 
 
-def check_admissibility(model: ValidatedModel, gsol: GSolution) -> AdmissibilityReport:
+def check_admissibility(model: ValidatedModel, g2) -> AdmissibilityReport:
     """Evaluate the admissibility condition at every grid point and atom.
 
-    Uses the undiscounted kernel pi_bar, not the discounted pi_hat.
+    Needs g2 alone (shape (n_atoms, M+1)); uses the undiscounted kernel
+    pi_bar, not the discounted pi_hat.
     """
     hs = model.heston
     gammas = np.asarray(model.dist.gammas)[:, None]
-    pb = pi_bar_path(model, gsol)[None, :]
+    pb = pi_bar_path(model, g2)[None, :]
     lhs = -8.0 * gammas * hs.xi * pb + 32.0 * gammas ** 2 * pb ** 2
     rhs = hs.kappa ** 2 / (2.0 * hs.sigma ** 2)
-    g2_ok = np.all(gsol.g2 <= 0.0, axis=1)
-    bad = (lhs > rhs) | (gsol.g2 > 0.0)
+    g2_ok = np.all(g2 <= 0.0, axis=1)
+    bad = (lhs > rhs) | (g2 > 0.0)
     passed = bool(np.all(lhs <= rhs) and np.all(g2_ok))
     first_violation = None
     if not passed:
@@ -113,7 +113,7 @@ def check_admissibility(model: ValidatedModel, gsol: GSolution) -> Admissibility
             order = np.lexsort((atoms, points))
             first_violation = (int(atoms[order[0]]), int(points[order[0]]))
     return AdmissibilityReport(
-        grid=gsol.grid,
+        grid=model.horizon.grid(),
         lhs=lhs,
         rhs=rhs,
         g2_nonpositive=g2_ok,

@@ -162,7 +162,7 @@ def test_criterion_05_admissibility_all_cases(t100_case1, t100_case2, report):
     for name, model, gsol, bad_atom in runs:
         if gsol is None:
             gsol = solve_g(model)
-        rep = check_admissibility(model, gsol)
+        rep = check_admissibility(model, gsol.g2)
         # At maturity dg2_i/ds = xi^2 c (c/2 - 1) with c = gamma_i / E[gamma], so g2_i turns
         # positive exactly when gamma_i > 2 E[gamma]; caseII's gamma = 4 atom stays positive.
         predicted = np.asarray(model.dist.gammas) <= 2.0 * model.mean_gamma

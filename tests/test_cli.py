@@ -171,6 +171,25 @@ def test_non_finite_config_value_is_exit_1(tmp_path, capsys, line, edited, name)
     _assert_one_error_line(capsys, f"{name} must be finite, got inf")
 
 
+def test_grid_beyond_physical_memory_is_exit_1(tmp_path, capsys):
+    """M = 10**15 would need (3n+1)(M+1) float64 values, petabytes: refused by
+    validation before anything is allocated."""
+    p = tmp_path / "huge.cfg"
+    p.write_text(BASE_CFG.replace("M = 2000", "M = 1000000000000000"), encoding="utf-8")
+    for command in ("solve", "check"):
+        assert main([command, "--config", str(p), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        _assert_one_error_line(capsys, "M = 1000000000000000: the grid and the g arrays of 2 atom(s) need")
+    assert not (tmp_path / "o").exists()
+
+
+def test_paths_beyond_physical_memory_is_exit_1(cfg_path, tmp_path, capsys):
+    argv = ["simulate", "--config", cfg_path, "--out", str(tmp_path / "s"),
+            "--paths", str(10 ** 15), "--strategy", "zero"]
+    assert main(argv) == EXIT_CONFIG
+    _assert_one_error_line(capsys, "flag paths = 1000000000000000: the terminal wealth and variance arrays need")
+    assert not (tmp_path / "s").exists()
+
+
 def test_sweep_manifest_round_trip_and_emit_timing(cfg_path, tmp_path):
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
     argv = ["sweep", "--config", cfg_path, "--out", out1,

@@ -1,11 +1,13 @@
 import math
+import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eqreinvest.csvio import fmt, fmt_column, write_csv
+from eqreinvest.csvio import FAST_MAX, FAST_MIN, fmt, fmt17, fmt_column, write_csv
 from eqreinvest.model import AversionDistribution, Horizon, validate_config
 from eqreinvest.odes import g2_closed_single
 from eqreinvest.presets import BASE_HESTON, BASE_INSURANCE
@@ -21,6 +23,82 @@ def test_fmt_round_trips_exactly(x):
 def test_fmt_compact_for_simple_values():
     assert fmt(1.0) == "1"
     assert fmt(0.5) == "0.5"
+
+
+def _texts(chars):
+    """The strings of a char matrix's rows, each NUL-padded at its end."""
+    return [b.decode() for b in chars.view(f"S{chars.shape[1]}").ravel().tolist()]
+
+
+def _assert_fmt17_is_printf(values):
+    x = np.asarray(values, dtype=np.float64)
+    wrong = [(v, got, "%.17g" % v) for v, got in zip(x.tolist(), _texts(fmt17(x))) if got != "%.17g" % v]
+    assert not wrong, wrong[:5]
+
+
+_DOUBLE_BITS = st.integers(min_value=0, max_value=2 ** 64 - 1).map(
+    lambda b: struct.unpack("<d", struct.pack("<Q", b))[0])  # every double, nan payloads included
+
+
+@given(st.floats() | _DOUBLE_BITS)
+@example(math.nan)
+@example(-math.nan)
+@example(math.inf)
+@example(-math.inf)
+@example(0.0)
+@example(-0.0)
+@example(5e-324)
+@example(-5e-324)
+@example(2.225073858507201e-308)  # the largest subnormal
+@example(2.2250738585072014e-308)
+@example(1.7976931348623157e308)
+@example(-1.7976931348623157e308)
+def test_fmt17_matches_printf_on_any_double(x):
+    _assert_fmt17_is_printf([x])
+
+
+@given(st.lists(st.floats() | _DOUBLE_BITS, max_size=40))
+@settings(max_examples=200)
+def test_fmt17_matches_printf_on_mixed_arrays(xs):
+    """Fast and fallback values side by side in one array."""
+    _assert_fmt17_is_printf(xs)
+
+
+def test_fmt17_powers_of_ten_and_their_neighbours():
+    """The decade is decided on the exact value: the double nearest 1e-06
+    lies below it and prints as 9.9999999999999995e-07."""
+    xs = []
+    for k in range(FAST_MIN - 1, FAST_MAX + 3):
+        p = float(f"1e{k}")
+        xs += [p, np.nextafter(p, 0.0), np.nextafter(p, math.inf)]
+    _assert_fmt17_is_printf(xs + [-x for x in xs])
+    assert _texts(fmt17(np.array([1e-06]))) == ["9.9999999999999995e-07"]
+
+
+def test_fmt17_rounds_exact_ties_half_to_even():
+    """x = m / 2^(k+1) with odd m and k = 16 - E is a tie at the 17th digit;
+    such doubles exist for decades E from -7 to 15."""
+    rng = np.random.default_rng(17)
+    xs = []
+    for E in range(-7, FAST_MAX + 1):
+        k = 16 - E
+        low = math.ceil(Fraction(10) ** E * 2 ** (k + 1))
+        high = min(math.floor(Fraction(10) ** (E + 1) * 2 ** (k + 1)), 2 ** 53)
+        odd = rng.integers(low // 2, high // 2, 2000) * 2 + 1
+        ties = odd / 2.0 ** (k + 1)
+        assert all((Fraction(x) * 10 ** k).denominator == 2 for x in ties[:20].tolist())
+        xs += ties.tolist()
+    _assert_fmt17_is_printf(xs + [-x for x in xs])
+
+
+def test_fmt17_random_values_in_every_decade():
+    """10^5 doubles per decade of the fast range, drawn uniformly over the
+    bit patterns between 10^E and 10^(E+1), with random signs."""
+    rng = np.random.default_rng(20261018)
+    for E in range(FAST_MIN, FAST_MAX + 1):
+        low, high = np.array([float(f"1e{E}"), float(f"1e{E + 1}")]).view(np.uint64).tolist()
+        x = rng.integers(low, high, 100_000, dtype=np.uint64, endpoint=True).view(np.float64)
+        _assert_fmt17_is_printf(x * rng.choice([-1.0, 1.0], x.size))
 
 
 def test_write_csv_lf_only(tmp_path):

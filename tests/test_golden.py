@@ -4,10 +4,12 @@ The sha256 of the solve, check and fig51 files was recorded from the
 program before the g2 reduction became a plain-Python fma and CSV rows
 became one %-format each; those of the sweep, simulate and fig7 files
 before the writers formatted column by column and sweep cells solved g2
-alone. Those changes kept every byte. A later change that moves an output
-bit fails here. The digests hold for IEEE float64 with a BLAS whose gemv
-rounds as OpenBLAS does on x86-64 (strategy.pi_bar_path and pi_hat_path
-reduce over the atoms with probs @ g2).
+alone; those of solve at T = 100 before floats were printed by
+csvio.fmt17 and lines were built a block at a time. Those changes kept
+every byte. A later change that moves an output bit fails here. The
+digests hold for IEEE float64 with a BLAS whose gemv rounds as OpenBLAS
+does on x86-64 (strategy.pi_bar_path and pi_hat_path reduce over the
+atoms with probs @ g2).
 """
 
 import hashlib
@@ -52,6 +54,15 @@ DIGESTS = {
         "00681bce676f23f01e6b6b2135941f1c6b54cb5c63bd06bd2939fa7268d3fb92",
 }
 
+# solve at T = 100, M = 2000: t and g1 reach three-digit integer parts
+# (g1 of the gamma = 4 atom is about -4 e^5 = -594 at t = 0)
+T100_DIGESTS = {
+    ("caseI", "g_functions.csv"): "230a92cf93932fde66f7831566af9009518f435750b014b534bd31e9de2f9e6b",
+    ("caseI", "strategy.csv"): "ed8c8b3c8783161e67c65c3b565b4bbc442f0a06e1e6bcc9927fcfddc46f666b",
+    ("caseII", "g_functions.csv"): "d2a04a78fe74ba5d5a2d2939c901d9218b7b66be8378c94057a6b5551dc28abb",
+    ("caseII", "strategy.csv"): "8be3116d90394557e5263aeeb3385916c88e7c85ee2f834efac8bd7c78bd30da",
+}
+
 REPRODUCE_DIGEST = "9ead5694262f4fc2ad6e9e1ef2c3b15c8d501994b6c2f4aaf030d02b22632992"
 FIG7_DIGEST = "2f502aa37ffb7211157276a832d6b2b467f3f57d9cf9187ef50687af026d32c1"
 
@@ -86,6 +97,15 @@ def test_cli_outputs_match_golden_digests(tmp_path, command, case):
     for (cmd, cs, name), digest in DIGESTS.items():
         if (cmd, cs) == (command, case):
             assert _sha256(os.path.join(out, name)) == digest, name
+
+
+@pytest.mark.parametrize("case", ["caseI", "caseII"])
+def test_solve_t100_matches_golden_digests(tmp_path, case):
+    cfg = tmp_path / f"{case}.cfg"
+    cfg.write_text(CONFIG.format(probs=PROBS[case], T=100, M=2000), encoding="utf-8")
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+    for name in ("g_functions.csv", "strategy.csv"):
+        assert _sha256(tmp_path / name) == T100_DIGESTS[(case, name)], name
 
 
 def test_reproduce_fig51_matches_golden_digest(tmp_path):

@@ -16,6 +16,7 @@ from eqreinvest import (
     validate_config,
     weighted_sum,
 )
+from eqreinvest import model as model_module
 from eqreinvest.presets import BASE_HESTON, BASE_INSURANCE, CASE_I, CASE_II
 
 
@@ -189,3 +190,16 @@ def test_mean_is_the_weighted_sum(rng):
     for n in (1, 3, 6, 16):
         dist = AversionDistribution.from_lists(rng.uniform(0.1, 5.0, n), rng.dirichlet(np.ones(n)))
         assert dist.mean == weighted_sum(dist.gammas, dist.probs)
+
+
+def test_grid_beyond_physical_memory_is_a_validation_error(monkeypatch):
+    """Checked from the inputs alone: nothing of that size is allocated."""
+    huge = Horizon(T=10.0, M=10 ** 15)
+    with pytest.raises(ValidationError, match="more than the .* GiB of physical memory"):
+        validate_config(BASE_INSURANCE, BASE_HESTON, CASE_I, huge)
+    monkeypatch.setattr(model_module, "physical_memory", lambda: None)  # unknown: not checked
+    assert validate_config(BASE_INSURANCE, BASE_HESTON, CASE_I, huge).horizon.M == 10 ** 15
+    monkeypatch.setattr(model_module, "physical_memory", lambda: 8 * 7 * 1001)
+    validate_config(BASE_INSURANCE, BASE_HESTON, CASE_I, Horizon(T=10.0, M=1000))  # (3n+1)(M+1) values fit
+    with pytest.raises(ValidationError):
+        validate_config(BASE_INSURANCE, BASE_HESTON, CASE_I, Horizon(T=10.0, M=1001))

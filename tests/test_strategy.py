@@ -59,7 +59,7 @@ def test_pi_bar_is_undiscounted_pi_hat(model_case1, gsol_case1):
     spath = equilibrium_strategy(model_case1, gsol_case1)
     grid = gsol_case1.grid
     discount = np.exp(-0.05 * (10.0 - grid))
-    assert np.allclose(pi_bar_path(model_case1, gsol_case1) * discount, spath.pi_hat, rtol=1e-14)
+    assert np.allclose(pi_bar_path(model_case1, gsol_case1.g2) * discount, spath.pi_hat, rtol=1e-14)
 
 
 def test_strategy_regime_all_reinsurance(model_case1, gsol_case1):
@@ -68,7 +68,7 @@ def test_strategy_regime_all_reinsurance(model_case1, gsol_case1):
 
 
 def test_admissibility_passes_baseline(model_case1, gsol_case1):
-    rep = check_admissibility(model_case1, gsol_case1)
+    rep = check_admissibility(model_case1, gsol_case1.g2)
     assert isinstance(rep, AdmissibilityReport)
     assert rep.passed
     assert rep.first_violation is None
@@ -83,7 +83,7 @@ def test_admissibility_failure_is_data():
     heston = HestonParams(r=0.05, xi=7.0 / 15.0, kappa=0.25, theta=0.0225, sigma=0.1, rho=-0.5, v0=0.0225)
     m = validate_config(BASE_INSURANCE, heston, CASE_I, Horizon(T=10.0, M=2000))
     gsol = solve_g(m)
-    rep = check_admissibility(m, gsol)
+    rep = check_admissibility(m, gsol.g2)
     assert not rep.passed
     assert rep.first_violation is not None
     atom, point = rep.first_violation
