@@ -22,16 +22,11 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, _is_number, _parse_number, build_model, load_config, model_to_config_dict
 from .csvio import (
-    block_rows,
-    fmt,
-    fmt17,
-    row_spans,
-    text_column,
     write_admissibility_csv,
-    write_csv,
     write_g_csv,
     write_simulation_csv,
     write_strategy_csv,
+    write_sweep_csv,
 )
 from .model import Horizon, ValidationError, memory_violation, validate_config
 from .montecarlo import SimulationError, estimate_reward, simulate_paths
@@ -193,7 +188,7 @@ def cmd_solve(args):
     timings["solve"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    spath = equilibrium_strategy(model, gsol)
+    spath = equilibrium_strategy(model, gsol.g2)
     regime = regime_classification(model)
     os.makedirs(args.out, exist_ok=True)
     write_g_csv(os.path.join(args.out, "g_functions.csv"), model, gsol)
@@ -237,7 +232,7 @@ def cmd_check(args):
 
 def _parse_strategy_flag(model, token):
     if token == "equilibrium":
-        return equilibrium_strategy(model, solve_g(model))
+        return equilibrium_strategy(model, solve_g2_coupled(model))
     if token == "zero":
         return "zero"
     if token.startswith("const:"):
@@ -288,32 +283,30 @@ def _sweep_cell(model, param, value, observable):
 def run_sweep(model, param, values, observable):
     """Evaluate the observable over the parameter grid, one cell at a time.
 
-    Returns the rows (param, value, t, observable, result) for write_csv,
-    one line each, as a generator. The cells are evaluated here, so a bad
-    value raises before any row is read; lines are built a block at a time
-    as they are read, the shared t grid and each constant column formatted
-    once. In pi_diff mode the first value is the baseline and rows hold
-    pi_hat(t; value) - pi_hat(t; baseline) for the remaining values.
+    Returns (values, curves, label) for csvio.write_sweep_csv: the values
+    shown, one curve over the grid per value, and the observable's column
+    label. In pi_diff mode the first value is the baseline and the curves
+    are pi_hat(t; value) - pi_hat(t; baseline) for the remaining values.
     """
     _params_holding(model, param)
     if observable not in ("q_hat", "pi_hat", "pi_diff"):
         raise ConfigError(f"unknown observable {observable!r}")
     base_obs = "pi_hat" if observable == "pi_diff" else observable
     curves = [_sweep_cell(model, param, v, base_obs) for v in values]
-    label = observable
     if observable == "pi_diff":
-        values, curves = values[1:], [curve - curves[0] for curve in curves[1:]]
-        label = "pi_hat_diff"
+        return values[1:], [curve - curves[0] for curve in curves[1:]], "pi_hat_diff"
+    return values, curves, observable
 
-    def blocks():
-        ts = fmt17(model.horizon.grid())
-        name, tag = text_column([param]), text_column([label])
-        for value, curve in zip(values, curves):
-            shown = text_column([fmt(value)])
-            for a, b in row_spans(len(ts)):
-                yield [name, shown, ts[a:b], tag, fmt17(curve[a:b])]
 
-    return block_rows(blocks())
+def _sweep(out, name, model, param, values, observable, phase, t0):
+    """Run a sweep and write it to out/name; every cell is evaluated before
+    the file is opened. Returns the timings: the run under phase, from t0,
+    and the write under emit."""
+    sweep = run_sweep(model, param, values, observable)
+    t1 = time.perf_counter()
+    os.makedirs(out, exist_ok=True)
+    write_sweep_csv(os.path.join(out, name), param, model.horizon.grid(), *sweep)
+    return {phase: t1 - t0, "emit": time.perf_counter() - t1}
 
 
 def cmd_sweep(args):
@@ -324,16 +317,7 @@ def cmd_sweep(args):
     for key in names:
         if key not in flags:
             raise ConfigError(f"sweep requires --{key}")
-    rows = run_sweep(model, parsed["param"], parsed["values"], parsed["observable"])
-    timings = {"sweep": time.perf_counter() - t0}
-    t0 = time.perf_counter()
-    os.makedirs(args.out, exist_ok=True)
-    write_csv(
-        os.path.join(args.out, "sweep.csv"),
-        ["param", "value", "t", "observable", "result"],
-        rows,
-    )
-    timings["emit"] = time.perf_counter() - t0
+    timings = _sweep(args.out, "sweep.csv", model, *(parsed[key] for key in names), "sweep", t0)
     _write_manifest(args.out, "sweep", model_to_config_dict(model, seed), flags, timings)
     return EXIT_OK
 
@@ -353,17 +337,8 @@ def cmd_reproduce(args):
     T = 10.0 if horizon_tag == "T10" else 100.0
     t0 = time.perf_counter()
     model = baseline_model(case=case, T=T, **overrides)
-    rows = run_sweep(model, param, values, observable)
-    timings = {"reproduce": time.perf_counter() - t0}
-    t0 = time.perf_counter()
-    os.makedirs(args.out, exist_ok=True)
     name = case_id.replace("/", "_") + ".csv"
-    write_csv(
-        os.path.join(args.out, name),
-        ["param", "value", "t", "observable", "result"],
-        rows,
-    )
-    timings["emit"] = time.perf_counter() - t0
+    timings = _sweep(args.out, name, model, param, values, observable, "reproduce", t0)
     _write_manifest(
         args.out,
         "reproduce",
@@ -374,8 +349,16 @@ def cmd_reproduce(args):
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument error is a config error (exit 1, one error: line), not
+    argparse's usage message and exit 2, the blow-up code."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="eqreinvest",
         description="Equilibrium reinsurance and investment strategies under "
         "stochastic volatility with randomly distributed risk aversion.",
@@ -383,8 +366,10 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="path to a key=value config file")
+    def common(p, model=True):
+        if model:
+            p.add_argument("--config", help="path to a key=value config file")
+            p.add_argument("--from-manifest", help="re-run from a previously written manifest")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument(
             "--threads",
@@ -393,7 +378,6 @@ def build_parser():
             "at most one per chunk of paths and per core); sweeps and the other "
             "subcommands run in one thread",
         )
-        p.add_argument("--from-manifest", help="re-run from a previously written manifest")
 
     p = sub.add_parser("solve", help="solve the exponent ODEs and emit strategy CSVs")
     common(p)
@@ -422,7 +406,7 @@ def build_parser():
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("reproduce", help="emit the data behind a benchmark figure")
-    common(p)
+    common(p, model=False)  # the figure fixes the model
     p.add_argument("--case", required=True, help="e.g. fig7/T10/caseI")
     p.set_defaults(func=cmd_reproduce)
 
@@ -430,9 +414,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.threads is not None:
             _integer_flag(1)("threads", args.threads)
         return args.func(args)

@@ -2,8 +2,10 @@
 17-significant-digit decimals.
 
 Floats are printed as "%.17g" would print them, by fmt17: exact integer
-arithmetic in numpy, a column at a time. The writers build their lines
-BLOCK_ROWS rows at a time, as write_csv reads them, from char matrices
+arithmetic in numpy, a column at a time. Every file is a table of
+write_table: its rows are (outer, inner) index pairs, its columns constants,
+values per outer or per inner index, or (outer, inner) arrays. Lines are
+built BLOCK_ROWS rows at a time, as write_csv reads them, from char matrices
 (one row of UTF-8 bytes per value, NUL-padded); a value shared by many rows
 (a grid time, an atom's gamma, a constant column) is formatted once."""
 
@@ -194,7 +196,7 @@ def _digit_bytes(d, chars, tz):
     return src, 17 - zeros
 
 
-# ------------------------------------------------------------ lines and rows
+# ------------------------------------------------------------ tables
 
 def text_column(strings):
     """Char matrix of strings: the UTF-8 bytes of each in a row, NUL-padded."""
@@ -202,32 +204,23 @@ def text_column(strings):
     return encoded.view(np.uint8).reshape(len(encoded), -1)
 
 
-def _distinct(strings):
-    """(char matrix of the distinct strings, the row of each string in it),
-    by one comparison pass per distinct string: for columns of few values."""
-    strings = np.asarray(strings)
-    codes = np.full(len(strings), -1)
-    distinct = []
-    while (todo := np.flatnonzero(codes < 0)).size:
-        distinct.append(str(strings[todo[0]]))
-        codes[strings == distinct[-1]] = len(distinct) - 1
-    return text_column(distinct), codes
+def _chars(values):
+    """Char matrix of fmt of each value: fmt17 for a float array, the code
+    points themselves for an ASCII str array."""
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind == "f" and values.itemsize <= 8:
+            return fmt17(values)
+        if values.dtype.kind == "U":
+            codes = np.ascontiguousarray(values).view(np.uint32).reshape(values.size, -1)
+            if codes.max(initial=0) < 128:  # UTF-8 of ASCII is its code point
+                return codes.astype(np.uint8)
+    return text_column([fmt(v) for v in values])
 
 
-def _is_float_array(values):
-    return isinstance(values, np.ndarray) and values.dtype.kind == "f" and values.itemsize <= 8
-
-
-def _column(values):
-    """Char matrix of fmt of each value: fmt17 for a float array."""
-    return fmt17(values) if _is_float_array(values) else text_column(map(fmt, values))
-
-
-def _lines(fields):
-    """The lines of one block, without their LF: the rows of the fields'
+def _lines(n, fields):
+    """The n lines of one block, without their LF: the rows of the fields'
     char matrices joined by commas, NULs dropped. A field has a row per
     line, or one row that every line shares."""
-    n = max(len(f) for f in fields)
     buf = np.empty((n, sum(f.shape[1] + 1 for f in fields)), np.uint8)
     at = 0
     for f in fields:
@@ -240,30 +233,59 @@ def _lines(fields):
     return lines
 
 
-def block_rows(blocks):
-    """write_csv rows of the blocks' lines, one single-field row per line;
-    each block (a list of fields, see _lines) is built as it is reached."""
-    return chain.from_iterable(map(zip, map(_lines, blocks)))
+CONST, OUTER, INNER, CELL = "const", "outer", "inner", "cell"  # column kinds of write_table
 
 
-def row_spans(points, rows_per_point=1):
-    """(start, stop) ranges over points, about BLOCK_ROWS rows each."""
-    step = max(1, BLOCK_ROWS // rows_per_point)
-    return [(a, min(a + step, points)) for a in range(0, points, step)]
+def _field(kind, values):
+    """field(i0, i1, j0, j1): the char matrix of a column over the rows of
+    outer indices [i0, i1) and inner indices [j0, j1). A constant and the
+    values per inner index, which every outer row shares, are formatted
+    once; the others a block at a time."""
+    if kind == CONST:
+        chars = _chars([values])
+        return lambda i0, i1, j0, j1: chars
+    if kind == OUTER:  # a block holds whole outer rows, or lies in one
+        return lambda i0, i1, j0, j1: np.repeat(_chars(values[i0:i1]), j1 - j0, axis=0)
+    if kind == INNER:
+        chars = _chars(values)
+        return lambda i0, i1, j0, j1: np.tile(chars[j0:j1], (i1 - i0, 1))
+    if isinstance(values, np.ndarray):
+        return lambda i0, i1, j0, j1: _chars(values[i0:i1, j0:j1])
+    return lambda i0, i1, j0, j1: _chars(values[i0][j0:j1])  # a block of one outer row
 
 
-def fmt_column(values):
-    """fmt of each value: a float array by fmt17, at once; anything else as
-    it is read."""
-    return iter(_lines([fmt17(values)])) if _is_float_array(values) else map(fmt, values)
+def write_table(path, header, outer, inner, columns):
+    """Write outer x inner rows, outer-major, through write_csv; a column
+    per header field, each a (kind, values) pair:
+
+    (CONST, value)   one value for every row;
+    (OUTER, values)  a value per outer index;
+    (INNER, values)  a value per inner index;
+    (CELL, values)   an (outer, inner) array, or a sequence of outer rows
+                     of inner values, never stacked: each block then lies
+                     in one outer row (a sweep's cell).
+
+    Every value is printed by fmt (float arrays by fmt17). Lines are built
+    a block of at most BLOCK_ROWS rows at a time, as write_csv reads them."""
+    fields = [_field(kind, values) for kind, values in columns]
+    by_row = any(kind == CELL and not isinstance(values, np.ndarray) for kind, values in columns)
+    if inner <= BLOCK_ROWS and not by_row:
+        step = BLOCK_ROWS // inner
+        spans = [(i, min(i + step, outer), 0, inner) for i in range(0, outer, step)]
+    else:
+        spans = [(i, i + 1, j, min(j + BLOCK_ROWS, inner))
+                 for i in range(outer) for j in range(0, inner, BLOCK_ROWS)]
+    blocks = (_lines((i1 - i0) * (j1 - j0), [f(i0, i1, j0, j1) for f in fields])
+              for i0, i1, j0, j1 in spans)
+    write_csv(path, header, chain.from_iterable(blocks))
 
 
-def write_csv(path, header, rows):
-    """Write header and rows (any iterable of sequences of str, read once);
-    each row's bytes are ",".join(row). A value that is not a str raises
+def write_csv(path, header, lines):
+    """Write the header and the lines (any iterable of str, one per data
+    row, without its LF; read once). A line that is not a str raises
     TypeError rather than reach the file as str(value), not fmt's digits.
     Lines are written BLOCK_ROWS at a time, joined."""
-    lines = map(",".join, rows)
+    lines = iter(lines)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         while chunk := list(islice(lines, BLOCK_ROWS)):
@@ -274,42 +296,32 @@ def write_csv(path, header, rows):
 def write_g_csv(path, model, gsol):
     """GSolution export: one row per (grid point, atom), time ascending."""
     n = model.dist.n
-    atoms, gammas = text_column(map(str, range(n))), _column(model.dist.gammas)
-
-    def block(a, b):
-        return [np.repeat(fmt17(gsol.grid[a:b]), n, axis=0), np.tile(atoms, (b - a, 1)),
-                np.tile(gammas, (b - a, 1)), *(fmt17(g[:, a:b].T) for g in (gsol.g1, gsol.g2, gsol.g3))]
-
-    rows = block_rows(block(a, b) for a, b in row_spans(len(gsol.grid), n))
-    write_csv(path, ["t", "atom_index", "gamma", "g1", "g2", "g3"], rows)
+    write_table(path, ["t", "atom_index", "gamma", "g1", "g2", "g3"], len(gsol.grid), n, [
+        (OUTER, gsol.grid), (INNER, range(n)), (INNER, model.dist.gammas),
+        (CELL, gsol.g1.T), (CELL, gsol.g2.T), (CELL, gsol.g3.T)])
 
 
 def write_strategy_csv(path, spath):
-    labels, codes = _distinct(spath.regime)
-    columns = (spath.grid, spath.q_hat, spath.pi_hat)
-    rows = block_rows([*(fmt17(c[a:b]) for c in columns), labels[codes[a:b]]]
-                      for a, b in row_spans(len(spath.grid)))
-    write_csv(path, ["t", "q_hat", "pi_hat", "regime"], rows)
+    columns = (spath.grid, spath.q_hat, spath.pi_hat, spath.regime)
+    write_table(path, ["t", "q_hat", "pi_hat", "regime"], len(spath.grid), 1, [(OUTER, c) for c in columns])
 
 
 def write_admissibility_csv(path, model, report):
     n = model.dist.n
-    atoms, rhs = text_column(map(str, range(n))), text_column([fmt(report.rhs)])
-
-    def block(a, b):
-        lhs = report.lhs[:, a:b].T  # time-major, like the rows
-        return [np.repeat(fmt17(report.grid[a:b]), n, axis=0), np.tile(atoms, (b - a, 1)),
-                fmt17(lhs), rhs, fmt17(report.rhs - lhs)]
-
-    rows = block_rows(block(a, b) for a, b in row_spans(len(report.grid), n))
-    write_csv(path, ["t", "atom_index", "lhs", "rhs", "margin"], rows)
+    write_table(path, ["t", "atom_index", "lhs", "rhs", "margin"], len(report.grid), n, [
+        (OUTER, report.grid), (INNER, range(n)), (CELL, report.lhs.T), (CONST, report.rhs),
+        (CELL, report.margin.T)])
 
 
 def write_simulation_csv(path, result):
-    columns = (result.gammas, result.utility_mean, result.utility_se, result.cert_equiv)
-    atoms, reward = text_column(map(str, range(len(result.gammas)))), text_column([fmt(result.reward)])
-    write_csv(
-        path,
-        ["atom_index", "gamma", "utility_mean", "utility_se", "cert_equiv", "reward_J"],
-        block_rows([[atoms, *map(_column, columns), reward]]),
-    )
+    n = len(result.gammas)
+    header = ["atom_index", "gamma", "utility_mean", "utility_se", "cert_equiv", "reward_J"]
+    per_atom = (range(n), result.gammas, result.utility_mean, result.utility_se, result.cert_equiv)
+    write_table(path, header, n, 1, [*((OUTER, c) for c in per_atom), (CONST, result.reward)])
+
+
+def write_sweep_csv(path, param, grid, values, curves, label):
+    """A sweep of param: one row per (value, grid point), the curve of each
+    value (a sequence of arrays over the grid) in its rows."""
+    write_table(path, ["param", "value", "t", "observable", "result"], len(values), len(grid), [
+        (CONST, param), (OUTER, values), (INNER, grid), (CONST, label), (CELL, curves)])

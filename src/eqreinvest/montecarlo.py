@@ -396,7 +396,7 @@ def equilibrium_spot_check(
     paired per-path delta-method weights. A negative rate beyond three
     standard errors is flagged, never raised.
     """
-    base = equilibrium_strategy(model, gsol)
+    base = equilibrium_strategy(model, gsol.g2)
     strategies = [base] + [_perturbed_path(model, base, q, pi, h) for q, pi in perturbations]
     batches = simulate_strategies(model, strategies, n_paths, seed)
     eq = estimate_reward(model, batches[0])

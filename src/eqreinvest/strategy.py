@@ -85,10 +85,11 @@ def _classify(q):
     return np.where(q == 1.0, REGIME_BOUNDARY, regime)
 
 
-def equilibrium_strategy(model: ValidatedModel, gsol: GSolution) -> StrategyPath:
-    """Assemble the equilibrium strategy path from the G-solution."""
-    q = q_hat(model, gsol.grid)
-    return StrategyPath(grid=gsol.grid, q_hat=q, pi_hat=pi_hat_path(model, gsol.g2), regime=_classify(q))
+def equilibrium_strategy(model: ValidatedModel, g2) -> StrategyPath:
+    """Assemble the equilibrium strategy path on the grid, from g2 alone."""
+    grid = model.horizon.grid()
+    q = q_hat(model, grid)
+    return StrategyPath(grid=grid, q_hat=q, pi_hat=pi_hat_path(model, g2), regime=_classify(q))
 
 
 def check_admissibility(model: ValidatedModel, g2) -> AdmissibilityReport:
@@ -170,29 +171,18 @@ class RegimeReport:
 
     ratio: float                     # a*eta2 / (b^2 E[gamma])
     crossover_tau: Optional[float]   # time-to-maturity where q_hat crosses 1
-    labels: np.ndarray               # per grid point
     reinsurance_throughout: bool
 
 
 def regime_classification(model: ValidatedModel) -> RegimeReport:
     """Classify the horizon: if the retention ratio is below one the whole
     horizon is reinsurance; otherwise report the crossover time-to-maturity
-    (1/r) ln(ratio) and label each grid point."""
+    (1/r) ln(ratio). q_hat(t) = ratio e^{-r(T-t)} peaks at q_hat(T) = ratio
+    (r > 0, and the grid ends at T exactly), so no grid point needs a look;
+    StrategyPath.regime labels each one."""
     ratio = retention_ratio(model)
-    grid = model.horizon.grid()
-    labels = _classify(q_hat(model, grid))
-    if model.heston.r == 0.0:
-        crossover = None
-    elif ratio >= 1.0:
-        crossover = math.log(ratio) / model.heston.r
-    else:
-        crossover = None
-    return RegimeReport(
-        ratio=ratio,
-        crossover_tau=crossover,
-        labels=labels,
-        reinsurance_throughout=bool(np.all(labels == REGIME_REINSURANCE)),
-    )
+    crossover = math.log(ratio) / model.heston.r if ratio >= 1.0 else None
+    return RegimeReport(ratio=ratio, crossover_tau=crossover, reinsurance_throughout=ratio < 1.0)
 
 
 _SENSITIVITY_PARAMS = ("r", "eta2", "lambda1", "mu1", "mu2")

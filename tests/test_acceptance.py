@@ -91,7 +91,7 @@ def test_criterion_02_atom_collapse(report):
         AversionDistribution.from_lists([gamma, gamma], [0.5, 0.5]), T=10.0, M=2000
     )
     gs, gd = solve_g(single), solve_g(dup)
-    ss, sd = equilibrium_strategy(single, gs), equilibrium_strategy(dup, gd)
+    ss, sd = equilibrium_strategy(single, gs.g2), equilibrium_strategy(dup, gd.g2)
     dev = max(
         float(np.max(np.abs(gd.g1 - gs.g1[0]))),
         float(np.max(np.abs(gd.g2 - gs.g2[0]))),
@@ -142,7 +142,7 @@ def test_criterion_04_analytic_strategy_values(report):
     )
     m0 = baseline_model("caseI", T=10.0, M=2000, rho=0.0)
     gsol0 = solve_g(m0)
-    spath0 = equilibrium_strategy(m0, gsol0)
+    spath0 = equilibrium_strategy(m0, gsol0.g2)
     ref = (m0.heston.xi / m0.mean_gamma) * np.exp(-m0.heston.r * (10.0 - gsol0.grid))
     dev_pi = float(np.max(np.abs(spath0.pi_hat - ref) / ref))
     ok = ok_q and dev_pi <= 1e-12
@@ -201,8 +201,8 @@ def test_criterion_06_sensitivity_signs(report):
 def test_criterion_07_figure_trends(t100_case1, t100_case2, report):
     m1, gsol1 = t100_case1
     m2, gsol2 = t100_case2
-    s1 = equilibrium_strategy(m1, gsol1)
-    s2 = equilibrium_strategy(m2, gsol2)
+    s1 = equilibrium_strategy(m1, gsol1.g2)
+    s2 = equilibrium_strategy(m2, gsol2.g2)
 
     # investment profile in time-to-maturity tau = T - t: decreasing, -> 0
     ok_pi = bool(np.all(np.diff(s1.pi_hat) > 0)) and s1.pi_hat[0] < 0.01
@@ -221,11 +221,11 @@ def test_criterion_07_figure_trends(t100_case1, t100_case2, report):
     for rho in (-0.5, 0.5):
         mb = baseline_model("caseI", T=100.0, rho=rho) if rho != -0.5 else m1
         gb = solve_g(mb) if rho != -0.5 else gsol1
-        base[rho] = equilibrium_strategy(mb, gb).pi_hat
+        base[rho] = equilibrium_strategy(mb, gb.g2).pi_hat
     for overrides, rho in ((dict(kappa=4.0), -0.5), (dict(kappa=4.0), 0.5),
                            (dict(sigma=0.15), -0.5), (dict(sigma=0.15), 0.5)):
         ma = baseline_model("caseI", T=100.0, rho=rho, **overrides)
-        diff = equilibrium_strategy(ma, solve_g(ma)).pi_hat - base[rho]
+        diff = equilibrium_strategy(ma, solve_g(ma).g2).pi_hat - base[rho]
         ok_diff = ok_diff and float(np.max(np.abs(diff[tail]))) < 1e-3 and abs(diff[-1]) < 1e-14
     rho_diff = base[0.5] - base[-0.5]
     ok_diff = ok_diff and float(np.max(np.abs(rho_diff[tail]))) < 1e-3 and abs(rho_diff[-1]) < 1e-14
@@ -258,7 +258,7 @@ def test_criterion_08_monte_carlo_sanity(report):
     # (iii) per-atom expected utility matches the ansatz at t = 0
     mf = baseline_model("caseI", T=1.0, M=1000)
     gsol = solve_g(mf)
-    bf = simulate_paths(mf, equilibrium_strategy(mf, gsol), n_paths=100_000, seed=303)
+    bf = simulate_paths(mf, equilibrium_strategy(mf, gsol.g2), n_paths=100_000, seed=303)
     res = estimate_reward(mf, bf)
     devs = []
     ok_fk = True

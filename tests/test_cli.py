@@ -339,3 +339,35 @@ def test_reproduce_unknown_case_lists_ids(tmp_path, capsys):
     assert main(["reproduce", "--case", "fig99/T10/caseI", "--out", str(tmp_path)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "fig7/T10/caseI" in err
+
+
+@pytest.mark.parametrize("argv,words", [
+    (["simulate", "--paths", "abc"], "--paths"),
+    (["reproduce"], "--case"),
+    (["solve", "--no-such-flag"], "--no-such-flag"),
+    (["no-such-command"], "no-such-command"),
+])
+def test_argument_error_is_exit_1(cfg_path, tmp_path, capsys, argv, words):
+    """argparse's errors are config errors: one error: line and exit 1, not
+    a usage message and exit 2, the blow-up code."""
+    assert main([*argv, "--config", cfg_path, "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and words in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag,value", [("--config", "/nonexistent.cfg"), ("--from-manifest", "m.json")])
+def test_reproduce_takes_no_model_flags(tmp_path, capsys, flag, value):
+    """A figure fixes its model: reproduce refuses the flags that would
+    name another one rather than ignore them."""
+    argv = ["reproduce", "--case", "fig7/T10/caseI", flag, value, "--out", str(tmp_path)]
+    assert main(argv) == EXIT_CONFIG
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "fig7_T10_caseI.csv")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["reproduce", "--help"]])
+def test_help_and_version_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out

@@ -1,5 +1,6 @@
 import math
 import struct
+from unittest import mock
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eqreinvest.csvio import FAST_MAX, FAST_MIN, fmt, fmt17, fmt_column, write_csv
+from eqreinvest import csvio
+from eqreinvest.csvio import CELL, CONST, FAST_MAX, FAST_MIN, INNER, OUTER, fmt, fmt17, write_csv, write_table
 from eqreinvest.model import AversionDistribution, Horizon, validate_config
 from eqreinvest.odes import g2_closed_single
 from eqreinvest.presets import BASE_HESTON, BASE_INSURANCE
@@ -103,11 +105,11 @@ def test_fmt17_random_values_in_every_decade():
 
 def test_write_csv_lf_only(tmp_path):
     path = tmp_path / "out.csv"
-    write_csv(path, ["a", "b"], [("1", "2"), ("0.1", "0.2")])
+    write_csv(path, ["a", "b"], ["1,2", "0.1,0.2"])
     data = path.read_bytes()
     assert b"\r" not in data
     assert data.endswith(b"\n")
-    assert data.decode().splitlines()[0] == "a,b"
+    assert data.decode().splitlines() == ["a,b", "1,2", "0.1,0.2"]
 
 
 _CELL = st.one_of(
@@ -117,64 +119,125 @@ _CELL = st.one_of(
     st.text(alphabet="abcxyz_019.-"),
     st.text(alphabet="abcxyz_019.-").map(np.str_),
 )
+_FLOAT = st.floats() | _DOUBLE_BITS
+_WORD = st.text(alphabet="abcxyz_019.-\u00e9")
 
 
-@given(st.lists(st.lists(_CELL, min_size=1, max_size=6), max_size=8))
-@settings(max_examples=200, deadline=None)
-def test_write_csv_row_bytes_equal_fmt_join(tmp_path_factory, rows):
-    """The column formatter gives fmt's bytes for every column type the
-    writers pass (float, np.float64, int, str, np.str_), mixed freely
-    within a column, and so does its float-array path for a column of
-    floats."""
-    for row in rows:  # a row's values as one column
-        assert list(fmt_column(row)) == [fmt(v) for v in row]
-        if all(isinstance(v, float) for v in row):
-            assert list(fmt_column(np.array(row))) == [fmt(v) for v in row]
-    path = tmp_path_factory.mktemp("csv") / "rows.csv"
-    write_csv(path, ["h"], (tuple(fmt_column(row)) for row in rows))
-    want = "h\n" + "".join(",".join(fmt(v) for v in row) + "\n" for row in rows)
+def _axis_values(size):
+    """A column of one axis as the writers pass them: a list of any cell
+    types mixed, a range, a float array, or a str array (ASCII or not)."""
+    def sized(elements):
+        return st.lists(elements, min_size=size, max_size=size)
+
+    return st.one_of(sized(_CELL), st.just(range(size)), sized(_FLOAT).map(np.array),
+                     sized(_WORD).map(lambda w: np.array(w, dtype=str)))
+
+
+@st.composite
+def _tables(draw):
+    """(outer, inner, columns, value of column c at row (i, j))."""
+    outer, inner = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    columns, value_at = [], []
+    for kind in draw(st.lists(st.sampled_from([CONST, OUTER, INNER, CELL]), min_size=1, max_size=5)):
+        if kind == CONST:
+            values = draw(_CELL)
+            value_at.append(lambda i, j, v=values: v)
+        elif kind == OUTER:
+            values = draw(_axis_values(outer))
+            value_at.append(lambda i, j, v=values: v[i])
+        elif kind == INNER:
+            values = draw(_axis_values(inner))
+            value_at.append(lambda i, j, v=values: v[j])
+        else:  # an (outer, inner) array, or its rows unstacked
+            values = np.array(draw(st.lists(_FLOAT, min_size=outer * inner, max_size=outer * inner)))
+            values = values.reshape(outer, inner)
+            value_at.append(lambda i, j, v=values: v[i, j])
+            if draw(st.booleans()):
+                values = list(values)
+        columns.append((kind, values))
+    return outer, inner, columns, value_at
+
+
+@given(_tables(), st.sampled_from([1, 2, 3, 2048]))
+@settings(max_examples=300, deadline=None)
+def test_write_table_row_bytes_equal_fmt_join(tmp_path_factory, table, block_rows):
+    """Every column kind gives fmt's bytes, row by row, outer-major, for
+    every value type the writers pass (float, np.float64, int, str, np.str_,
+    mixed freely within a column; float and str arrays, nan and non-ASCII
+    text included), in blocks of any size."""
+    outer, inner, columns, value_at = table
+    path = tmp_path_factory.mktemp("csv") / "table.csv"
+    with mock.patch.object(csvio, "BLOCK_ROWS", block_rows):
+        write_table(path, ["h"] * len(columns), outer, inner, columns)
+    want = ",".join(["h"] * len(columns)) + "\n" + "".join(
+        ",".join(fmt(at(i, j)) for at in value_at) + "\n" for i in range(outer) for j in range(inner))
     assert path.read_bytes() == want.encode("utf-8")
 
 
-@given(st.lists(st.floats()))
-def test_fmt_column_float_array_follows_fmt(xs):
-    """nan and the infinities included."""
-    assert list(fmt_column(np.array(xs, dtype=float))) == [fmt(x) for x in xs]
+@given(st.lists(st.floats(), min_size=1))
+def test_write_table_float_columns_follow_fmt(tmp_path_factory, xs):
+    """A float array prints as fmt prints each value, nan and the
+    infinities included, whether formatted once or a block at a time."""
+    x = np.array(xs, dtype=float)
+    path = tmp_path_factory.mktemp("csv") / "floats.csv"
+    want = "".join(fmt(v) + "\n" for v in xs)
+    for outer, inner, column in ((len(x), 1, (OUTER, x)), (1, len(x), (INNER, x)),
+                                 (len(x), 1, (CELL, x[:, None])), (1, len(x), (CELL, [x]))):
+        write_table(path, ["x"], outer, inner, [column])
+        assert path.read_text(encoding="utf-8") == "x\n" + want
+    write_table(path, ["x", "k"], len(x), 2, [(OUTER, x), (INNER, ["a", "b"])])
+    assert path.read_text(encoding="utf-8") == "x,k\n" + "".join(
+        f"{fmt(v)},{k}\n" for v in xs for k in "ab")
 
 
-_TEXT = st.text(alphabet="abcxyz_019.-\u00e9").map(str) | st.text(alphabet="abc019.-").map(np.str_)
+def test_writers_reach_write_csv_with_one_line_per_row(tmp_path, monkeypatch, model_case1, gsol_case1):
+    """Timing wrappers replace csvio.write_csv and count the items it is
+    given: the writers call it through the module global, one str a row."""
+    calls = []
+
+    def counting(path, header, lines):
+        lines = list(lines)
+        calls.append((len(lines), all(isinstance(line, str) for line in lines)))
+        return real(path, header, lines)
+
+    real = csvio.write_csv
+    monkeypatch.setattr(csvio, "write_csv", counting)
+    csvio.write_g_csv(tmp_path / "g.csv", model_case1, gsol_case1)
+    rows = len(gsol_case1.grid)
+    assert calls == [(2 * rows, True)]
+    assert len((tmp_path / "g.csv").read_text().splitlines()) == 2 * rows + 1
 
 
-@given(st.lists(st.lists(_TEXT, min_size=1, max_size=6), max_size=8))
+@given(st.lists(_WORD.map(str) | st.text(alphabet="abc019.-,").map(np.str_), max_size=8))
 @settings(max_examples=200, deadline=None)
-def test_write_csv_string_rows_are_comma_joined(tmp_path_factory, rows):
-    path = tmp_path_factory.mktemp("csv") / "rows.csv"
-    write_csv(path, ["h"], rows)
-    want = "h\n" + "".join(",".join(row) + "\n" for row in rows)
+def test_write_csv_writes_lines_as_given(tmp_path_factory, lines):
+    path = tmp_path_factory.mktemp("csv") / "lines.csv"
+    write_csv(path, ["h", "k"], lines)
+    want = "h,k\n" + "".join(line + "\n" for line in lines)
     assert path.read_bytes() == want.encode("utf-8")
 
 
 @pytest.mark.parametrize("row", [("a", 0.1), (1, "b"), ("a", np.float64(0.5))])
 @pytest.mark.parametrize("at", [0, 1])
 def test_write_csv_rejects_unformatted_values(tmp_path, row, at):
-    """A row of raw values, first or later, raises rather than writing
-    their str (0.1 where fmt writes 0.10000000000000001)."""
-    rows = [("c", "d")] * 2
-    rows[at] = row
+    """A line that is not a str, first or later, raises rather than
+    writing anything's str (0.1 where fmt writes 0.10000000000000001)."""
+    lines = ["c,d"] * 2
+    lines[at] = row
     with pytest.raises(TypeError):
-        write_csv(tmp_path / "raw.csv", ["a", "b"], rows)
+        write_csv(tmp_path / "raw.csv", ["a", "b"], lines)
 
 
 def test_write_csv_reads_a_generator_once(tmp_path):
     reads = []
 
-    def rows():
+    def lines():
         for k in range(3):
             reads.append(k)
-            yield (fmt(k), fmt(0.1 * k), f"r{k}")
+            yield f"{fmt(k)},{fmt(0.1 * k)},r{k}"
 
     path = tmp_path / "gen.csv"
-    write_csv(path, ["k", "x", "label"], rows())
+    write_csv(path, ["k", "x", "label"], lines())
     assert reads == [0, 1, 2]
     assert path.read_text() == "k,x,label\n0,0,r0\n1,0.10000000000000001,r1\n2,0.20000000000000001,r2\n"
 

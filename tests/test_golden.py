@@ -5,8 +5,9 @@ program before the g2 reduction became a plain-Python fma and CSV rows
 became one %-format each; those of the sweep, simulate and fig7 files
 before the writers formatted column by column and sweep cells solved g2
 alone; those of solve at T = 100 before floats were printed by
-csvio.fmt17 and lines were built a block at a time. Those changes kept
-every byte. A later change that moves an output bit fails here. The
+csvio.fmt17 and lines were built a block at a time; those of ATOM_RUNS
+before the writers became column specs of one table writer. Those
+changes kept every byte. A later change that moves an output bit fails here. The
 digests hold for IEEE float64 with a BLAS whose gemv rounds as OpenBLAS
 does on x86-64 (strategy.pi_bar_path and pi_hat_path reduce over the
 atoms with probs @ g2).
@@ -81,6 +82,35 @@ SHORT_RUNS = {
         "3e14a5baff2b87421c61243050deaac6f4befc281df2dbd6107a87c28803678d",
 }
 
+# (argv after --config/--out, gammas, probs, T, M) -> {output file: sha256}:
+# one atom at gamma = 0.2 (retention ratio 1.25, q_hat crosses 1 about 4.46
+# years before maturity, so strategy.csv holds NewBusiness rows), at
+# gamma = 0.25 (ratio exactly 1: one Boundary row, at t = T), and three
+# atoms, whose M + 1 = 2001 grid points fill blocks of 682 points (2048 rows)
+# with a short last one
+ATOMS3 = ("0.5, 2, 4", "0.3, 0.3, 0.4")
+ATOM_RUNS = {
+    ("solve", "0.2", "1", 10, 2000): {
+        "strategy.csv": "4d6b93c821b1798f0c82680b3449ce63b0e7792d1ca0dcbb97a7c817e9cbb702",
+        "regime.json": "90c8d032911adf14c00f7ecb2afaa9e9421e40d8ba957e8e456fde8faef0f873",
+    },
+    ("solve", "0.25", "1", 10, 2000): {
+        "strategy.csv": "2cdd70eda3280eaf55575edff4332e9dec275920014f507fa6e1c83ec043bde6",
+        "regime.json": "7d1bab230098791aa0617d754b983f7332215d94059ebc319f3c641e232a1193",
+    },
+    ("solve", *ATOMS3, 10, 2000): {
+        "g_functions.csv": "6d686b17c962e3fc5a185830d7264a58aea0a13a248a50b36130455c8c6cbda1",
+        "strategy.csv": "c7aebcc9c8b1b1f6dc6cb12742fdd6f27185a569b4f5ba04c3d07866c3ef8129",
+        "regime.json": "8334bb78bf330b0f583e9a1cd792182ae576177b9f881160038e67dc571daa24",
+    },
+    ("check", *ATOMS3, 10, 2000): {
+        "admissibility.csv": "361a593b9a4ccc055d12521ded4b7e94b454fa7684a645bb5deab8c2199d4d45",
+    },
+    ("simulate --paths 3000 --threads 1", *ATOMS3, 1, 1000): {
+        "simulation.csv": "ec4116e3644a3e42b57b6cfcc7942eae39e038c9be3427bc82701f45f03534e7",
+    },
+}
+
 
 def _sha256(path):
     with open(path, "rb") as fh:
@@ -125,3 +155,14 @@ def test_sweep_and_simulate_match_golden_digests(tmp_path, argv, case, name):
 def test_reproduce_fig7_matches_golden_digest(tmp_path):
     assert main(["reproduce", "--case", "fig7/T10/caseI", "--out", str(tmp_path)]) == EXIT_OK
     assert _sha256(tmp_path / "fig7_T10_caseI.csv") == FIG7_DIGEST
+
+
+@pytest.mark.parametrize("argv,gammas,probs,T,M", list(ATOM_RUNS))
+def test_atom_counts_and_regimes_match_golden_digests(tmp_path, argv, gammas, probs, T, M):
+    cfg = tmp_path / "atoms.cfg"
+    text = CONFIG.replace("gammas = 0.5, 4", f"gammas = {gammas}")
+    cfg.write_text(text.format(probs=probs, T=T, M=M), encoding="utf-8")
+    command, *flags = argv.split()
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path), *flags]) == EXIT_OK
+    for name, digest in ATOM_RUNS[(argv, gammas, probs, T, M)].items():
+        assert _sha256(tmp_path / name) == digest, name

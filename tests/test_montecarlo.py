@@ -150,7 +150,7 @@ def test_underflowing_cert_equiv_matches_ansatz():
         Horizon(T=1.0, M=1000, x0=30.0),
     )
     gsol = solve_g(m)
-    res = estimate_reward(m, simulate_paths(m, equilibrium_strategy(m, gsol), 10000, seed=30))
+    res = estimate_reward(m, simulate_paths(m, equilibrium_strategy(m, gsol.g2), 10000, seed=30))
     assert res.utility_mean[1] == 0.0  # the plain mean underflows
     for i, gamma in enumerate(m.dist.gammas):
         expo = gsol.g1[i, 0] * m.horizon.x0 + gsol.g2[i, 0] * m.heston.v0 + gsol.g3[i, 0]
@@ -165,7 +165,7 @@ def test_feynman_kac_consistency():
 
     m = baseline_model("caseI", T=1.0, M=1000)
     gsol = solve_g(m)
-    spath = equilibrium_strategy(m, gsol)
+    spath = equilibrium_strategy(m, gsol.g2)
     batch = simulate_paths(m, spath, n_paths=40000, seed=21)
     res = estimate_reward(m, batch)
     for i, gamma in enumerate(m.dist.gammas):
@@ -208,7 +208,7 @@ def test_shared_pass_matches_single_runs_across_chunks():
     from eqreinvest.odes import solve_g
 
     m = baseline_model("caseII", T=1.0, M=20)
-    strategies = [equilibrium_strategy(m, solve_g(m)), "zero", (0.3, 7 / 15)]
+    strategies = [equilibrium_strategy(m, solve_g(m).g2), "zero", (0.3, 7 / 15)]
     n = CHUNK_SIZE + 5
     shared = simulate_strategies(m, strategies, n, seed=12, record_full=True)
     assert len(shared) == 3
@@ -235,7 +235,7 @@ def test_spot_check_rows_match_per_strategy_runs():
     perturbations, h, n, seed = [(0.5, 0.5), (0.0, 1.0), (1.0, 0.0)], 0.1, 3000, 404
     rows = equilibrium_spot_check(m, gsol, perturbations, h, n, seed)
 
-    base = equilibrium_strategy(m, gsol)
+    base = equilibrium_strategy(m, gsol.g2)
     eq = estimate_reward(m, simulate_paths(m, base, n, seed))
     for row, (q, pi) in zip(rows, perturbations):
         early = base.grid < h
@@ -254,7 +254,7 @@ def test_workers_do_not_change_outputs(four_cores):
     from eqreinvest.odes import solve_g
 
     m = baseline_model("caseII", T=1.0, M=20)
-    strategies = [equilibrium_strategy(m, solve_g(m)), "zero", (0.3, 7 / 15)]
+    strategies = [equilibrium_strategy(m, solve_g(m).g2), "zero", (0.3, 7 / 15)]
     n = 2 * CHUNK_SIZE + 5
     assert worker_count(3, 2) == 2
     serial = simulate_strategies(m, strategies, n, seed=12, record_full=True, workers=1)

@@ -179,13 +179,16 @@ def test_minimal_grid_runs():
     assert np.all(gsol.g2[:, -1] == 0.0)
 
 
+def _law(draw, n):
+    gammas = draw(st.lists(st.floats(min_value=0.1, max_value=8.0), min_size=n, max_size=n))
+    weights = draw(st.lists(st.floats(min_value=0.05, max_value=1.0), min_size=n, max_size=n))
+    return gammas, [w / math.fsum(weights) for w in weights]
+
+
 @st.composite
 def _law_and_permutation(draw):
     n = draw(st.integers(min_value=2, max_value=5))
-    gammas = draw(st.lists(st.floats(min_value=0.1, max_value=8.0), min_size=n, max_size=n))
-    weights = draw(st.lists(st.floats(min_value=0.05, max_value=1.0), min_size=n, max_size=n))
-    probs = [w / math.fsum(weights) for w in weights]
-    return gammas, probs, draw(st.permutations(range(n)))
+    return *_law(draw, n), draw(st.permutations(range(n)))
 
 
 @given(_law_and_permutation())
@@ -205,4 +208,35 @@ def test_atom_permutation_permutes_g2_rows(law):
     assert np.allclose(g2_permuted, g2[list(perm)], rtol=0.0, atol=1e-12 * np.max(np.abs(g2)))
     grid = horizon.grid()
     assert np.allclose(pi_hat_path(models[1], g2_permuted), pi_hat_path(models[0], g2), rtol=1e-12, atol=0.0)
+    assert np.allclose(q_hat(models[1], grid), q_hat(models[0], grid), rtol=1e-12, atol=0.0)
+
+
+@st.composite
+def _law_and_split(draw):
+    n = draw(st.integers(min_value=1, max_value=3))
+    return *_law(draw, n), draw(st.integers(0, n - 1)), draw(st.floats(min_value=0.01, max_value=0.99))
+
+
+@given(_law_and_split())
+@settings(max_examples=40, deadline=None)
+def test_split_atom_gives_two_equal_g2_rows(law):
+    """Splitting atom k into two copies of weights p w and p (1 - w) gives
+    two bit-equal g2 rows (the same gamma meets the same weighted sum at
+    every step), each equal to the unsplit atom's row, and leaves pi_hat and
+    q_hat alone, to 1e-12 relative: the fma reduction over the atoms (and
+    E[gamma]) rounds differently over more terms."""
+    gammas, probs, k, w = law
+    split_gammas = gammas[:k + 1] + gammas[k:]
+    split_probs = probs[:k] + [probs[k] * w, probs[k] * (1.0 - w)] + probs[k + 1:]
+    horizon = Horizon(T=5.0, M=200)
+    models = [
+        validate_config(BASE_INSURANCE, BASE_HESTON, AversionDistribution.from_lists(g, p), horizon)
+        for g, p in ((gammas, probs), (split_gammas, split_probs))
+    ]
+    g2, g2_split = map(solve_g2_coupled, models)
+    assert np.array_equal(g2_split[k], g2_split[k + 1])
+    unsplit = np.delete(g2_split, k + 1, axis=0)
+    assert np.allclose(unsplit, g2, rtol=0.0, atol=1e-12 * np.max(np.abs(g2)))
+    grid = horizon.grid()
+    assert np.allclose(pi_hat_path(models[1], g2_split), pi_hat_path(models[0], g2), rtol=1e-12, atol=0.0)
     assert np.allclose(q_hat(models[1], grid), q_hat(models[0], grid), rtol=1e-12, atol=0.0)

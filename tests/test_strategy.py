@@ -46,24 +46,24 @@ def test_q_hat_case2_scales_with_mean_gamma(model_case1, model_case2):
 
 def test_pi_hat_terminal_value(model_case1, gsol_case1):
     # g2(T) = 0, so pi_hat(T) = xi / E[gamma]
-    spath = equilibrium_strategy(model_case1, gsol_case1)
+    spath = equilibrium_strategy(model_case1, gsol_case1.g2)
     assert spath.pi_hat[-1] == pytest.approx((7.0 / 15.0) / 2.25, rel=1e-13)
 
 
 def test_pi_hat_positive_baseline(model_case1, gsol_case1):
-    spath = equilibrium_strategy(model_case1, gsol_case1)
+    spath = equilibrium_strategy(model_case1, gsol_case1.g2)
     assert np.all(spath.pi_hat > 0)
 
 
 def test_pi_bar_is_undiscounted_pi_hat(model_case1, gsol_case1):
-    spath = equilibrium_strategy(model_case1, gsol_case1)
+    spath = equilibrium_strategy(model_case1, gsol_case1.g2)
     grid = gsol_case1.grid
     discount = np.exp(-0.05 * (10.0 - grid))
     assert np.allclose(pi_bar_path(model_case1, gsol_case1.g2) * discount, spath.pi_hat, rtol=1e-14)
 
 
 def test_strategy_regime_all_reinsurance(model_case1, gsol_case1):
-    spath = equilibrium_strategy(model_case1, gsol_case1)
+    spath = equilibrium_strategy(model_case1, gsol_case1.g2)
     assert set(spath.regime) == {"Reinsurance"}
 
 
@@ -153,7 +153,8 @@ def test_regime_crossover():
     assert rep.ratio == pytest.approx(ratio, rel=1e-13)
     assert rep.crossover_tau == pytest.approx(math.log(ratio) / 0.05, rel=1e-13)
     assert not rep.reinsurance_throughout
-    assert "NewBusiness" in rep.labels
+    spath = equilibrium_strategy(m, solve_g2_coupled(m))
+    assert "NewBusiness" in spath.regime
 
 
 def test_sensitivity_signs_interior(model_case1):
@@ -170,7 +171,7 @@ def test_sensitivity_signs_at_maturity(model_case1):
 
 def test_case2_strategy_larger_than_case1(gsol_case1, gsol_case2, model_case1, model_case2):
     """Lower mean aversion (case II) retains more risk and invests more."""
-    s1 = equilibrium_strategy(model_case1, gsol_case1)
-    s2 = equilibrium_strategy(model_case2, gsol_case2)
+    s1 = equilibrium_strategy(model_case1, gsol_case1.g2)
+    s2 = equilibrium_strategy(model_case2, gsol_case2.g2)
     assert np.all(s2.q_hat > s1.q_hat)
     assert np.all(s2.pi_hat > s1.pi_hat)
