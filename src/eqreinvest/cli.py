@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -20,7 +21,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, _is_number, _parse_number, build_model, load_config, model_to_config_dict
+from .config import RULES, ConfigError, _parse_number, build_model, load_config, model_to_config_dict
 from .csvio import (
     write_admissibility_csv,
     write_g_csv,
@@ -28,7 +29,7 @@ from .csvio import (
     write_strategy_csv,
     write_sweep_csv,
 )
-from .model import Horizon, ValidationError, memory_violation, validate_config
+from .model import Horizon, ValidationError, validate_config
 from .montecarlo import SimulationError, estimate_reward, simulate_paths
 from .odes import BlowUpError, solve_g, solve_g2_coupled
 from .presets import XI, baseline_model
@@ -63,12 +64,8 @@ REPRODUCE_SWEEPS = {
 
 
 def _valid_case_ids():
-    ids = []
-    for fig in REPRODUCE_SWEEPS:
-        for horizon in ("T10", "T100"):
-            for case in ("caseI", "caseII"):
-                ids.append(f"{fig}/{horizon}/{case}")
-    return ids
+    return [f"{fig}/{horizon}/{case}"
+            for fig in REPRODUCE_SWEEPS for horizon in ("T10", "T100") for case in ("caseI", "caseII")]
 
 
 def _params_holding(model, param):
@@ -100,7 +97,7 @@ def _resolve_model(args):
         with open(args.from_manifest, "r", encoding="utf-8") as fh:
             try:
                 manifest = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:  # also an int past the digit limit, deep nesting
                 raise ConfigError(f"manifest {args.from_manifest} is not JSON: {exc}") from exc
         config = manifest.get("config") if isinstance(manifest, dict) else None
         if not isinstance(config, dict):
@@ -116,56 +113,10 @@ def _resolve_model(args):
     return model, seed, {}
 
 
-def _integer_flag(low, high=None):
-    def parse(name, value):
-        if isinstance(value, bool) or not isinstance(value, int) or value < low or (
-                high is not None and value >= high):
-            bound = f">= {low}" if high is None else f"in [{low}, {high})"
-            raise ConfigError(f"flag {name} must be an integer {bound}, got {value!r}")
-        return value
-
-    return parse
-
-
-def _paths_flag(name, value):
-    value = _integer_flag(1)(name, value)
-    too_big = memory_violation(f"flag {name} = {value}: the terminal wealth and variance arrays", 2 * value)
-    if too_big:
-        raise ConfigError(too_big)
-    return value
-
-
-def _text_flag(name, value):
-    if not isinstance(value, str):
-        raise ConfigError(f"flag {name} must be a string, got {value!r}")
-    return value
-
-
-def _horizon_flag(name, value):
-    if not (_is_number(value) and 0 < value < float("inf")):
-        raise ConfigError(f"flag {name} must be a finite number > 0, got {value!r}")
-    return float(value)
-
-
-def _values_flag(name, value):
-    if isinstance(value, str):
-        return [_parse_number(tok) for tok in value.split(",")]
-    if isinstance(value, list) and value and all(map(_is_number, value)):
-        return [float(v) for v in value]
-    raise ConfigError(f"flag {name} must be comma-separated numbers or a list of numbers, got {value!r}")
-
-
-# name -> parse(name, value): the value a run uses, or a ConfigError. A flag
-# comes from the command line, else the manifest, else the command's default.
-FLAGS = {
-    "paths": _paths_flag,  # an integer >= 1 whose terminal arrays fit in memory
-    "seed": _integer_flag(0, 2 ** 64),  # a Philox key word
-    "horizon": _horizon_flag,
-    "strategy": _text_flag,
-    "param": _text_flag,
-    "values": _values_flag,
-    "observable": _text_flag,
-}
+# name -> config's rule(name, value): the value a run uses, or a ConfigError.
+# A flag comes from the command line, else the manifest, else the command's default.
+FLAGS = {name: RULES[name]
+         for name in ("paths", "seed", "horizon", "strategy", "param", "values", "observable")}
 
 
 def _merge_flags(args, saved, names, defaults):
@@ -175,7 +126,7 @@ def _merge_flags(args, saved, names, defaults):
         if getattr(args, name) is not None:
             given[name] = getattr(args, name)
     given = {**defaults, **given}
-    return given, {name: FLAGS[name](name, value) for name, value in given.items()}
+    return given, {name: FLAGS[name](f"flag {name}", value) for name, value in given.items()}
 
 
 def cmd_solve(args):
@@ -251,14 +202,16 @@ def cmd_simulate(args):
         {"paths": 10000, "seed": seed, "strategy": "equilibrium"},
     )
     if "horizon" in parsed and parsed["horizon"] != model.horizon.T:
-        # keep the grid step, rescale the number of steps
-        step = model.horizon.l
+        # keep the grid step, rescale the number of steps; validation
+        # refuses a T, or a number of steps, that is not finite
         T = parsed["horizon"]
-        hz = Horizon(T=T, M=max(1, int(round(T / step))), x0=model.horizon.x0)
+        steps = T / model.horizon.l
+        M = max(1, round(steps)) if math.isfinite(steps) else steps
+        hz = Horizon(T=T, M=M, x0=model.horizon.x0)
         model = validate_config(model.ins, model.heston, model.dist, hz)
     strategy = _parse_strategy_flag(model, parsed["strategy"])
-    # a non-finite state ends the run as a SimulationError; numpy's warnings
-    # on the way there would only repeat it
+    # a non-finite state ends the run as a SimulationError, which names its
+    # step; main's floating-point errors would end it there with less to say
     with np.errstate(invalid="ignore", over="ignore"):
         batch = simulate_paths(model, strategy, parsed["paths"], parsed["seed"], workers=args.threads)
     result = estimate_reward(model, batch)
@@ -291,6 +244,8 @@ def run_sweep(model, param, values, observable):
     _params_holding(model, param)
     if observable not in ("q_hat", "pi_hat", "pi_diff"):
         raise ConfigError(f"unknown observable {observable!r}")
+    if observable == "pi_diff" and len(values) < 2:
+        raise ConfigError(f"pi_diff needs a baseline and at least one more value, got {len(values)}")
     base_obs = "pi_hat" if observable == "pi_diff" else observable
     curves = [_sweep_cell(model, param, v, base_obs) for v in values]
     if observable == "pi_diff":
@@ -324,15 +279,9 @@ def cmd_sweep(args):
 
 def cmd_reproduce(args):
     case_id = args.case
-    parts = case_id.split("/")
-    valid = _valid_case_ids()
-    if case_id not in valid:
-        print(
-            f"unknown case id {case_id!r}; valid ids:\n" + "\n".join(valid),
-            file=sys.stderr,
-        )
-        return EXIT_CONFIG
-    fig, horizon_tag, case = parts
+    if case_id not in _valid_case_ids():
+        raise ConfigError(f"unknown case id {case_id!r}; valid ids: {', '.join(_valid_case_ids())}")
+    fig, horizon_tag, case = case_id.split("/")
     param, values, observable, overrides = REPRODUCE_SWEEPS[fig]
     T = 10.0 if horizon_tag == "T10" else 100.0
     t0 = time.perf_counter()
@@ -417,12 +366,14 @@ def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
         if args.threads is not None:
-            _integer_flag(1)("threads", args.threads)
-        return args.func(args)
-    except (ConfigError, ValidationError, FileNotFoundError) as exc:
+            RULES["threads"]("flag threads", args.threads)
+        # a floating-point overflow or invalid operation is a blow-up, not a warning
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
+    except (ConfigError, ValidationError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (BlowUpError, SimulationError) as exc:
+    except (BlowUpError, SimulationError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BLOWUP
 

@@ -104,8 +104,9 @@ class InsuranceParams:
             v.append(f"eta1 must be >= 0, got {self.eta1}")
         if not self.eta2 >= self.eta1:
             v.append(f"eta2 must be >= eta1 (no arbitrage), got eta2={self.eta2} < eta1={self.eta1}")
-        if self.mu2 > 0 and self.mu1 > 0 and not self.mu2 >= self.mu1 ** 2:
-            v.append(f"mu2 must be >= mu1^2, got mu2={self.mu2} < {self.mu1 ** 2}")
+        # x * x, not x ** 2, which raises OverflowError past the float range
+        if self.mu2 > 0 and self.mu1 > 0 and not self.mu2 >= self.mu1 * self.mu1:
+            v.append(f"mu2 must be >= mu1^2, got mu2={self.mu2} < {self.mu1 * self.mu1}")
         return v
 
 
@@ -139,10 +140,10 @@ class HestonParams:
                 v.append(f"{name} must be > 0, got {val}")
         if not -1.0 <= self.rho <= 1.0:
             v.append(f"rho must be in [-1, 1], got {self.rho}")
-        if not 2.0 * self.kappa * self.theta > self.sigma ** 2:
+        if not 2.0 * self.kappa * self.theta > self.sigma * self.sigma:  # see mu1^2 above
             v.append(
                 "Feller condition violated: 2*kappa*theta="
-                f"{2.0 * self.kappa * self.theta} <= sigma^2={self.sigma ** 2}"
+                f"{2.0 * self.kappa * self.theta} <= sigma^2={self.sigma * self.sigma}"
             )
         return v
 
@@ -287,8 +288,9 @@ def validate_config(ins, heston, dist, horizon) -> ValidatedModel:
     Every input must be finite. Violations are aggregated: a single
     ValidationError lists all of them, one per input (a non-finite input
     is not also reported by its range check). Once the inputs are valid,
-    the grid and the g1, g2, g3 arrays ((3n+1)(M+1) float64 values) must
-    fit in physical memory.
+    the square of g1's largest magnitude max_i gamma_i e^{rT} must be
+    finite (g3's quadrature squares g1), and the grid and the g1, g2, g3
+    arrays ((3n+1)(M+1) float64 values) must fit in physical memory.
     """
     non_finite = _non_finite(ins, heston, dist, horizon)
     reported = tuple(f"{name} " for name, _ in non_finite)
@@ -296,6 +298,10 @@ def validate_config(ins, heston, dist, horizon) -> ValidatedModel:
     for part in (ins, heston, dist, horizon):
         violations += [v for v in part.violations() if not v.startswith(reported)]
     if not violations:
+        with np.errstate(over="ignore"):  # g3's quadrature squares g1 = -gamma e^{r(T-t)}
+            g1_square = (max(dist.gammas) * np.exp(heston.r * horizon.T)) ** 2
+        if g1_square == np.inf:
+            violations.append(f"(max gamma_i e^(rT))^2 must be finite (r = {heston.r}, T = {horizon.T})")
         too_big = memory_violation(f"M = {horizon.M}: the grid and the g arrays of {dist.n} atom(s)",
                                    (3 * dist.n + 1) * (horizon.M + 1))
         violations += [too_big] if too_big else []

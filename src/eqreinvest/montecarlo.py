@@ -33,7 +33,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .model import ValidatedModel
+from .model import ValidatedModel, weighted_sum
 from .odes import GSolution
 from .strategy import StrategyPath, equilibrium_strategy
 
@@ -305,22 +305,15 @@ def simulate_strategies(
     ]
 
 
-def _utilities(x_terminal, gamma):
-    return -np.exp(-gamma * x_terminal) / gamma
-
-
-def _inverse_utility(y, gamma):
-    return -math.log(-gamma * y) / gamma
-
-
 def estimate_reward(model: ValidatedModel, batch: PathBatch) -> SimulationResult:
     """Per-atom sample means of terminal utility, their standard errors,
     certainty equivalents, and the probability-weighted reward.
 
-    Where an atom's utility mean underflows (below the smallest normal
-    float, e.g. gamma = 30 at wealth 30), its certainty equivalent and
-    weights come from the log-sum-exp shifted by the lowest terminal
-    wealth; its utility mean and SE are reported as they underflowed.
+    Where an atom's utility mean is not a finite negative normal float
+    (it underflows, e.g. gamma = 30 at wealth 30, or overflows at a large
+    loss), its certainty equivalent and weights come from the log-sum-exp
+    shifted by the lowest terminal wealth; its utility mean and SE are
+    reported as they came out, without numpy's warnings.
     """
     if batch.n_paths < 1:
         raise ValueError("empty path batch")
@@ -330,23 +323,24 @@ def estimate_reward(model: ValidatedModel, batch: PathBatch) -> SimulationResult
     ses = np.empty(len(gammas))
     ces = np.empty(len(gammas))
     weights = np.zeros(batch.n_paths)
-    for i, (gamma, p) in enumerate(zip(gammas, probs)):
-        u = _utilities(batch.x_terminal, gamma)
-        mean = float(np.mean(u))
-        means[i] = mean
-        ses[i] = float(np.std(u, ddof=1) / math.sqrt(batch.n_paths)) if batch.n_paths > 1 else 0.0
-        if mean < -_SMALLEST_NORMAL:
-            ces[i] = _inverse_utility(mean, gamma)
-            weights += p * u / (-gamma * mean)
-        else:
-            # exp(-gamma x) underflows: shift by the lowest wealth x*, so
-            # CE = x* - log(mean exp(-gamma (x - x*))) / gamma
-            x_low = float(np.min(batch.x_terminal))
-            e = np.exp(-gamma * (batch.x_terminal - x_low))
-            e_mean = float(np.mean(e))
-            ces[i] = x_low - math.log(e_mean) / gamma
-            weights += p * e / (-gamma * e_mean)
-    reward = float(np.dot(probs, ces))
+    with np.errstate(over="ignore", invalid="ignore"):  # the shift below covers an overflow
+        for i, (gamma, p) in enumerate(zip(gammas, probs)):
+            u = -np.exp(-gamma * batch.x_terminal) / gamma  # the utility -e^{-gamma x} / gamma
+            mean = float(np.mean(u))
+            means[i] = mean
+            ses[i] = float(np.std(u, ddof=1) / math.sqrt(batch.n_paths)) if batch.n_paths > 1 else 0.0
+            if -math.inf < mean < -_SMALLEST_NORMAL:
+                ces[i] = -math.log(-gamma * mean) / gamma  # the utility's inverse
+                weights += p * u / (-gamma * mean)
+            else:
+                # exp(-gamma x) under- or overflows: shift by the lowest wealth x*,
+                # so CE = x* - log(mean exp(-gamma (x - x*))) / gamma
+                x_low = float(np.min(batch.x_terminal))
+                e = np.exp(-gamma * (batch.x_terminal - x_low))
+                e_mean = float(np.mean(e))
+                ces[i] = x_low - math.log(e_mean) / gamma
+                weights += p * e / (-gamma * e_mean)
+    reward = float(weighted_sum(ces, probs))
     return SimulationResult(
         gammas=gammas,
         utility_mean=means,

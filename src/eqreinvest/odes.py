@@ -7,7 +7,8 @@ by a one-predictor one-corrector modified Euler scheme on the
 time-reversed ODE), and g3 (a pure quadrature once g1, g2 and the
 retention path are known). A single-atom closed form for g2 is kept as
 an independent oracle. The formulas that the solver, the strategy and the
-diagnostics share (q_hat, pi_bar, the g2 right side) live here, once each.
+diagnostics share (q_hat, pi_bar and pi_hat, the g2 right side) live here,
+once each.
 """
 
 from __future__ import annotations
@@ -113,6 +114,18 @@ def pi_bar(heston: HestonParams, mean_gamma, weighted_g2):
     pi_hat(t) = pi_bar(t) * e^{-r(T-t)}.
     """
     return (heston.xi + heston.rho * heston.sigma * weighted_g2) / mean_gamma
+
+
+def pi_bar_path(model: ValidatedModel, g2) -> np.ndarray:
+    """Undiscounted investment kernel on the grid, from g2 alone."""
+    probs = np.asarray(model.dist.probs)
+    return pi_bar(model.heston, model.mean_gamma, probs @ g2)
+
+
+def pi_hat_path(model: ValidatedModel, g2) -> np.ndarray:
+    """Equilibrium investment pi_hat = pi_bar * e^{-r(T-t)} on the grid, from g2 alone."""
+    hz = model.horizon
+    return pi_bar_path(model, g2) * np.exp(-model.heston.r * (hz.T - hz.grid()))
 
 
 def g2_right_side(heston: HestonParams):
@@ -250,11 +263,8 @@ def residual_check(gsol: GSolution, model: ValidatedModel) -> np.ndarray:
     ~8x per doubling, not 4x. The solver's own second order shows in
     self-convergence differences against a doubled grid instead.
     """
-    hs = model.heston
-    probs = np.asarray(model.dist.probs)
     grid, g1, g2 = gsol.grid, gsol.g1, gsol.g2
-    pi_hat = pi_bar(hs, model.mean_gamma, probs @ g2) * np.exp(-hs.r * (model.horizon.T - grid))
-    rhs = g2_right_side(hs)(pi_hat * g1, g2)
+    rhs = g2_right_side(model.heston)(pi_hat_path(model, g2) * g1, g2)
     dg2_dt = (g2[:, 2:] - g2[:, :-2]) / (grid[2:] - grid[:-2])
     defect = dg2_dt + rhs[:, 1:-1]  # the ODE reads -dg2/dt = rhs
     return np.max(np.abs(defect), axis=1)

@@ -14,7 +14,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .model import ValidatedModel
-from .odes import GSolution, pi_bar, q_hat, retention_ratio
+# pi_bar_path and pi_hat_path live in odes beside pi_bar; re-exported here
+from .odes import GSolution, pi_bar_path, pi_hat_path, q_hat, retention_ratio
 
 REGIME_REINSURANCE = "Reinsurance"
 REGIME_NEW_BUSINESS = "NewBusiness"
@@ -66,18 +67,6 @@ class AdmissibilityReport:
     def margin(self):
         """rhs - lhs; negative where the condition fails."""
         return self.rhs - self.lhs
-
-
-def pi_bar_path(model: ValidatedModel, g2) -> np.ndarray:
-    """Undiscounted investment kernel on the grid, from g2 alone."""
-    probs = np.asarray(model.dist.probs)
-    return pi_bar(model.heston, model.mean_gamma, probs @ g2)
-
-
-def pi_hat_path(model: ValidatedModel, g2) -> np.ndarray:
-    """Equilibrium investment pi_hat = pi_bar * e^{-r(T-t)} on the grid, from g2 alone."""
-    hz = model.horizon
-    return pi_bar_path(model, g2) * np.exp(-model.heston.r * (hz.T - hz.grid()))
 
 
 def _classify(q):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import pytest
@@ -87,6 +88,15 @@ def test_manifest_not_json_is_exit_1(tmp_path, capsys):
     assert _run_manifest(tmp_path, "not json {") == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error:") and "not JSON" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", ["[" * 100000 + "]" * 100000, '{"config": {"M": 1' + "0" * 5000 + "}}"],
+                         ids=["deep nesting", "5000 digits"])
+def test_manifest_json_beyond_the_parser_limits_is_exit_1(tmp_path, capsys, text):
+    """Nesting past the recursion limit, or an int past the digit limit of
+    int(str), is no manifest this program can read."""
+    assert _run_manifest(tmp_path, text) == EXIT_CONFIG
+    _assert_one_error_line(capsys, "is not JSON")
 
 
 def test_manifest_config_not_a_table_is_exit_1(tmp_path, capsys):
@@ -339,6 +349,7 @@ def test_reproduce_unknown_case_lists_ids(tmp_path, capsys):
     assert main(["reproduce", "--case", "fig99/T10/caseI", "--out", str(tmp_path)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "fig7/T10/caseI" in err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv,words", [
@@ -371,3 +382,133 @@ def test_help_and_version_exit_0(capsys, argv):
         main(argv)
     assert exc.value.code == 0
     assert capsys.readouterr().out
+
+
+def _manifest_with(cfg_path, tmp_path, key, value):
+    """The text of a solve manifest of the base config, with one config value replaced."""
+    out = str(tmp_path / "base_run")
+    assert main(["solve", "--config", cfg_path, "--out", out]) == EXIT_OK
+    with open(os.path.join(out, "manifest.json"), encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    manifest["config"][key] = value
+    return json.dumps(manifest)
+
+
+SIMULATE_FLAGS = ["--paths", "10", "--strategy", "zero"]
+
+
+@pytest.mark.parametrize("command", ["solve", "simulate"])
+@pytest.mark.parametrize("line, edited, message", [
+    ("M = 2000", "M = 1e400", "line 16: M must be an integer, got inf"),
+    ("M = 2000", "M = nan", "line 16: M must be an integer, got nan"),
+    ("seed = 42", "seed = -5", "line 17: seed must be an integer in [0, 18446744073709551616), got -5"),
+    ("seed = 42", f"seed = {2 ** 70}", "line 17: seed must be an integer in [0, 18446744073709551616)"),
+])
+def test_config_integer_key_out_of_rule_is_exit_1(tmp_path, capsys, command, line, edited, message):
+    p = tmp_path / "edited.cfg"
+    p.write_text(BASE_CFG.replace(line, edited), encoding="utf-8")
+    argv = [command, "--config", str(p), "--out", str(tmp_path / "o")]
+    assert main(argv + (SIMULATE_FLAGS if command == "simulate" else [])) == EXIT_CONFIG
+    _assert_one_error_line(capsys, f"error: {message}")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "simulate"])
+@pytest.mark.parametrize("key, value, message", [
+    ("M", 100.5, "M must be an integer, got 100.5"),
+    ("M", float("inf"), "M must be an integer, got inf"),  # json writes it as Infinity
+    ("seed", -5, "seed must be an integer in [0, 18446744073709551616), got -5"),
+    ("seed", 2 ** 70, f"seed must be an integer in [0, 18446744073709551616), got {2 ** 70}"),
+])
+def test_manifest_integer_value_out_of_rule_is_exit_1(cfg_path, tmp_path, capsys, command, key, value,
+                                                      message):
+    text = _manifest_with(cfg_path, tmp_path, key, value)
+    capsys.readouterr()
+    manifest = tmp_path / "edited_manifest.json"
+    manifest.write_text(text, encoding="utf-8")
+    argv = [command, "--from-manifest", str(manifest), "--out", str(tmp_path / "o")]
+    assert main(argv + (SIMULATE_FLAGS if command == "simulate" else [])) == EXIT_CONFIG
+    _assert_one_error_line(capsys, f"error: {message}")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("value, message", [
+    ("inf", "T must be finite, got inf"),
+    ("nan", "T must be finite, got nan"),
+    ("-1", "T must be > 0, got -1.0"),
+    ("1e308", "M must be finite, got inf"),  # T / step overflows
+])
+def test_horizon_flag_out_of_range_is_exit_1(cfg_path, tmp_path, capsys, value, message):
+    argv = ["simulate", "--config", cfg_path, "--out", str(tmp_path / "s"), *SIMULATE_FLAGS,
+            "--horizon", value]
+    assert main(argv) == EXIT_CONFIG
+    _assert_one_error_line(capsys, message)
+
+
+def _out_below_a_file(tmp_path):
+    (tmp_path / "file").write_text("x", encoding="utf-8")
+    return str(tmp_path / "file" / "out")
+
+
+def _existing_file(tmp_path):
+    (tmp_path / "file").write_text("x", encoding="utf-8")
+    return str(tmp_path / "file")
+
+
+@pytest.mark.parametrize("make_out, message", [
+    (_existing_file, "File exists"),
+    (_out_below_a_file, "Not a directory"),
+])
+def test_out_that_cannot_be_a_directory_is_exit_1(cfg_path, tmp_path, capsys, make_out, message):
+    assert main(["solve", "--config", cfg_path, "--out", make_out(tmp_path)]) == EXIT_CONFIG
+    _assert_one_error_line(capsys, message)
+
+
+def test_config_that_is_a_directory_is_exit_1(tmp_path, capsys):
+    assert main(["solve", "--config", str(tmp_path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    _assert_one_error_line(capsys, "Is a directory")
+
+
+def test_config_that_is_not_utf8_is_exit_1(tmp_path, capsys):
+    p = tmp_path / "latin1.cfg"
+    p.write_bytes(BASE_CFG.encode() + b"# caf\xe9\n")
+    assert main(["solve", "--config", str(p), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    _assert_one_error_line(capsys, "can't decode byte 0xe9")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["solve", "check", "simulate"])
+def test_growth_beyond_float_range_is_exit_1(tmp_path, capsys, command):
+    """r = 1000 at T = 1: e^{rT} overflows, so g1 = -gamma e^{r(T-t)}, and
+    the g1^2 of g3's quadrature, cannot be represented; validation refuses
+    the model."""
+    p = tmp_path / "r1000.cfg"
+    p.write_text(BASE_CFG.replace("r = 0.05", "r = 1000").replace("T = 10", "T = 1"), encoding="utf-8")
+    argv = [command, "--config", str(p), "--out", str(tmp_path / "o")]
+    assert main(argv + (SIMULATE_FLAGS if command == "simulate" else [])) == EXIT_CONFIG
+    _assert_one_error_line(capsys, "(max gamma_i e^(rT))^2 must be finite (r = 1000.0, T = 1.0)")
+
+
+@pytest.mark.filterwarnings("error")
+def test_simulate_utility_overflow_gives_finite_cert_equiv(tmp_path, capsys):
+    """const:1,1000 loses so much on some paths that e^{-gamma x} overflows
+    for gamma = 4; the certainty equivalent comes from the shifted estimate."""
+    p = tmp_path / "short.cfg"
+    p.write_text(BASE_CFG.replace("T = 10", "T = 1").replace("M = 2000", "M = 100"), encoding="utf-8")
+    out = tmp_path / "s"
+    argv = ["simulate", "--config", str(p), "--out", str(out),
+            "--paths", "10000", "--strategy", "const:1,1000"]
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    rows = [line.split(",") for line in _read(out / "simulation.csv").decode().splitlines()[1:]]
+    assert rows[1][2] == "-inf"  # the plain utility mean overflowed
+    for row in rows:
+        assert all(map(math.isfinite, (float(row[4]), float(row[5]))))  # cert_equiv, reward_J
+
+
+def test_sweep_pi_diff_needs_two_values(cfg_path, tmp_path, capsys):
+    argv = ["sweep", "--config", cfg_path, "--out", str(tmp_path / "sw"),
+            "--param", "kappa", "--values", "5", "--observable", "pi_diff"]
+    assert main(argv) == EXIT_CONFIG
+    _assert_one_error_line(capsys, "pi_diff needs a baseline and at least one more value, got 1")
+    assert not (tmp_path / "sw").exists()

@@ -109,3 +109,64 @@ def test_load_config_round_trip(tmp_path):
     model2, seed2 = build_model(parse_config_text("\n".join(lines)))
     assert model2 == model
     assert seed2 == seed
+
+
+@pytest.mark.parametrize("line, message", [
+    ("M = 1e400", "M must be an integer, got inf"),
+    ("M = nan", "M must be an integer, got nan"),
+    ("M = 100.5", "M must be an integer, got 100.5"),
+    ("seed = -5", "seed must be an integer in [0, 18446744073709551616), got -5"),
+    ("seed = 1180591620717411303424",  # 2^70
+     "seed must be an integer in [0, 18446744073709551616), got 1180591620717411303424"),
+    ("kappa = 5, 6", "kappa must be a number, got [5, 6]"),
+    ("gammas = 0.5, 4,", "invalid numeric value ''"),
+    ("gammas =", "invalid numeric value ''"),
+])
+def test_value_rule_refusal_reports_line_number(line, message):
+    with pytest.raises(ConfigError) as exc:
+        parse_config_text(f"r = 0.05\n{line}\n")
+    assert exc.value.line_no == 2 and str(exc.value) == f"line 2: {message}"
+
+
+def test_integral_float_counts_as_integer_and_digits_stay_exact():
+    values = parse_config_text(f"M = 1e4\nseed = {2 ** 64 - 1}\n")
+    assert values["M"] == 10000 and isinstance(values["M"], int)
+    assert values["seed"] == 2 ** 64 - 1  # a float would round it to 2^64
+
+
+def test_single_value_is_a_list_of_one():
+    one = parse_config_text("gammas = 4\nprobs = 1\n")
+    assert one == {"gammas": [4.0], "probs": [1.0]}
+
+
+def _snapshot():
+    return model_to_config_dict(*build_model(parse_config_text(BASE_TEXT)))
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("M", 100.5, "M must be an integer, got 100.5"),
+    ("M", float("inf"), "M must be an integer, got inf"),
+    pytest.param("M", 10 ** 400, "M must be an integer, got 1000", id="M-10^400"),  # no float holds it
+    ("seed", -5, "seed must be an integer in [0, 18446744073709551616), got -5"),
+    pytest.param("seed", 2 ** 70, "seed must be an integer in [0, 18446744073709551616)", id="seed-2^70"),
+    ("kappa", "5", "kappa must be a number, got '5'"),
+    ("kappa", True, "kappa must be a number, got True"),
+    ("gammas", "0.5, 4", "gammas must be a number or a non-empty list of numbers, got '0.5, 4'"),
+    ("probs", [], "probs must be a number or a non-empty list of numbers, got []"),
+    ("probs", [0.5, None], "probs must be a number or a non-empty list of numbers"),
+])
+def test_manifest_values_follow_the_config_rules(key, value, message):
+    snap = _snapshot()
+    snap[key] = value
+    with pytest.raises(ConfigError) as exc:
+        build_model(snap)
+    assert message in str(exc.value)
+
+
+def test_manifest_numbers_of_either_json_type_are_the_same_model():
+    model, seed = build_model(parse_config_text(BASE_TEXT))
+    snap = _snapshot()
+    snap.update({"kappa": 5, "M": 1e4, "seed": 12345.0, "T": 10})
+    model2, seed2 = build_model(snap)
+    assert model2 == model and seed2 == seed
+    assert isinstance(model2.heston.kappa, float) and isinstance(model2.horizon.M, int)

@@ -17,7 +17,7 @@ from eqreinvest import (
     simulate_strategies,
 )
 from eqreinvest.montecarlo import CHUNK_SIZE, worker_count
-from eqreinvest.model import AversionDistribution, Horizon, validate_config
+from eqreinvest.model import AversionDistribution, Horizon, validate_config, weighted_sum
 from eqreinvest.presets import BASE_HESTON, BASE_INSURANCE, baseline_model
 from eqreinvest.strategy import equilibrium_strategy
 
@@ -136,6 +136,27 @@ def test_estimate_reward_underflow_uses_shifted_log_sum_exp(small_model):
     # each atom contributes p_i * (-1 / gamma_i) per path, as without underflow
     gammas, probs = np.array(small_model.dist.gammas), np.array(small_model.dist.probs)
     assert np.allclose(res.weights, -np.dot(probs, 1.0 / gammas), rtol=1e-15)
+
+
+def test_estimate_reward_overflow_uses_shifted_log_sum_exp(small_model):
+    """Wealth of -1000 overflows e^{-gamma x} for gamma = 4: the plain mean is
+    -inf, the shifted estimate gives the finite certainty equivalent, and
+    numpy warns of nothing (warnings are errors in this suite)."""
+    x = np.array([-1000.0, -999.0, 1.0, 2.0])
+    batch = PathBatch(n_paths=4, seed=0, grid=small_model.horizon.grid(), x_terminal=x,
+                      v_terminal=np.full(4, 0.0225), min_v=0.0)
+    res = estimate_reward(small_model, batch)
+    assert small_model.dist.gammas == (0.5, 4.0)
+    assert res.utility_mean[1] == -math.inf
+    lse = -1000.0 - math.log(np.mean(np.exp(-4.0 * (x + 1000.0)))) / 4.0
+    assert res.cert_equiv[1] == lse
+    assert np.all(np.isfinite(res.cert_equiv)) and np.all(np.isfinite(res.weights))
+    assert math.isfinite(res.reward)
+
+
+def test_reward_is_the_atom_order_fma_of_the_cert_equivs(small_model):
+    res = estimate_reward(small_model, simulate_paths(small_model, (0.2, 0.5), n_paths=500, seed=3))
+    assert res.reward == weighted_sum(res.cert_equiv, small_model.dist.probs)
 
 
 def test_underflowing_cert_equiv_matches_ansatz():
