@@ -76,8 +76,14 @@ def _params_holding(model, param):
     raise ConfigError(f"unknown sweep parameter {param!r}")
 
 
+def _write_json(path, obj):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _write_manifest(outdir, subcommand, config_dict, flags, timings):
-    manifest = {
+    _write_json(os.path.join(outdir, "manifest.json"), {
         "tool": "eqreinvest",
         "version": __version__,
         "subcommand": subcommand,
@@ -85,10 +91,7 @@ def _write_manifest(outdir, subcommand, config_dict, flags, timings):
         "config": config_dict,
         "flags": flags,
         "timings": timings,
-    }
-    with open(os.path.join(outdir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def _resolve_model(args):
@@ -113,20 +116,16 @@ def _resolve_model(args):
     return model, seed, {}
 
 
-# name -> config's rule(name, value): the value a run uses, or a ConfigError.
-# A flag comes from the command line, else the manifest, else the command's default.
-FLAGS = {name: RULES[name]
-         for name in ("paths", "seed", "horizon", "strategy", "param", "values", "observable")}
-
-
 def _merge_flags(args, saved, names, defaults):
-    """(flags as given, flags as parsed) of one run over the flag names."""
+    """(flags as given, flags as parsed by config.RULES) of one run over the
+    flag names. A flag comes from the command line, else the manifest, else
+    the command's default."""
     given = {name: saved[name] for name in names if name in saved}
     for name in names:
         if getattr(args, name) is not None:
             given[name] = getattr(args, name)
     given = {**defaults, **given}
-    return given, {name: FLAGS[name](f"flag {name}", value) for name, value in given.items()}
+    return given, {name: RULES[name](f"flag {name}", value) for name, value in given.items()}
 
 
 def cmd_solve(args):
@@ -144,18 +143,11 @@ def cmd_solve(args):
     os.makedirs(args.out, exist_ok=True)
     write_g_csv(os.path.join(args.out, "g_functions.csv"), model, gsol)
     write_strategy_csv(os.path.join(args.out, "strategy.csv"), spath)
-    with open(os.path.join(args.out, "regime.json"), "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "retention_ratio": regime.ratio,
-                "crossover_time_to_maturity": regime.crossover_tau,
-                "reinsurance_throughout": regime.reinsurance_throughout,
-            },
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
+    _write_json(os.path.join(args.out, "regime.json"), {
+        "retention_ratio": regime.ratio,
+        "crossover_time_to_maturity": regime.crossover_tau,
+        "reinsurance_throughout": regime.reinsurance_throughout,
+    })
     timings["emit"] = time.perf_counter() - t0
     _write_manifest(args.out, "solve", model_to_config_dict(model, seed), {}, timings)
     return EXIT_OK
@@ -298,6 +290,11 @@ def cmd_reproduce(args):
     return EXIT_OK
 
 
+def numeric(text):
+    """A flag's number, read as a config file reads one; config.RULES decides if it is valid."""
+    return _parse_number(text)
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument error is a config error (exit 1, one error: line), not
     argparse's usage message and exit 2, the blow-up code."""
@@ -322,7 +319,7 @@ def build_parser():
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument(
             "--threads",
-            type=int,
+            type=numeric,
             help="Monte Carlo worker threads for simulate (default: one per usable core; "
             "at most one per chunk of paths and per core); sweeps and the other "
             "subcommands run in one thread",
@@ -338,9 +335,9 @@ def build_parser():
 
     p = sub.add_parser("simulate", help="Monte Carlo estimate of utilities and reward")
     common(p)
-    p.add_argument("--paths", type=int, help="number of Monte Carlo paths")
-    p.add_argument("--seed", type=int, help="RNG seed (overrides config)")
-    p.add_argument("--horizon", type=float, help="override horizon T, keeping the grid step")
+    p.add_argument("--paths", type=numeric, help="number of Monte Carlo paths")
+    p.add_argument("--seed", type=numeric, help="RNG seed (overrides config)")
+    p.add_argument("--horizon", type=numeric, help="override horizon T, keeping the grid step")
     p.add_argument(
         "--strategy",
         help="equilibrium | zero | const:q,pi",
@@ -366,15 +363,21 @@ def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
         if args.threads is not None:
-            RULES["threads"]("flag threads", args.threads)
+            args.threads = RULES["threads"]("flag threads", args.threads)
         # a floating-point overflow or invalid operation is a blow-up, not a warning
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return args.func(args)
     except (ConfigError, ValidationError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (BlowUpError, SimulationError, ArithmeticError) as exc:
+    except (BlowUpError, SimulationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BLOWUP
+    except ArithmeticError as exc:  # numpy's text names no stage: add this package's innermost
+        import traceback  # here, not at the top: importing it adds ~5 ms to every start-up
+        pkg = os.path.dirname(__file__)
+        stage = [f for f in traceback.extract_tb(exc.__traceback__) if os.path.dirname(f.filename) == pkg][-1]
+        print(f"error: {exc} (in {os.path.basename(stage.filename)[:-3]}.{stage.name})", file=sys.stderr)
         return EXIT_BLOWUP
 
 

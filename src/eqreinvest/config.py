@@ -155,6 +155,9 @@ def parse_config_text(text):
 def build_model(values):
     """Assemble and validate a model from a parsed config dict (or a
     manifest's, whose values are checked here by the same rules)."""
+    unknown = [k for k in values if k not in KEYS]
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r}")
     merged = {**DEFAULTS, **values}
     missing = [k for k in KEYS if k not in merged]
     if missing:

@@ -219,6 +219,8 @@ class Horizon:
             v.append(f"T must be > 0, got {self.T}")
         if not (isinstance(self.M, (int, np.integer)) and self.M >= 1):
             v.append(f"M must be an integer >= 1, got {self.M!r}")
+        elif self.T > 0 and not self.l > 0:  # T / M underflows
+            v.append(f"the grid step T / M must be > 0, got {self.l} (T = {self.T}, M = {self.M})")
         return v
 
 

@@ -28,7 +28,7 @@ import contextvars
 import math
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -62,11 +62,9 @@ class PathBatch:
 
     n_paths: int
     seed: int
-    grid: np.ndarray
     x_terminal: np.ndarray
     v_terminal: np.ndarray
     min_v: float
-    scheme: str = "full-truncation Euler, exact rate integration"
     x_paths: Optional[np.ndarray] = None
     v_paths: Optional[np.ndarray] = None
 
@@ -86,8 +84,6 @@ class SimulationResult:
     utility_se: np.ndarray
     cert_equiv: np.ndarray
     reward: float
-    n_paths: int
-    seed: int
     weights: np.ndarray
 
 
@@ -167,7 +163,6 @@ def simulate_strategies(
     d = model.diffusion
     M, l = hz.M, hz.l
     K = len(strategies)
-    grid = hz.grid()
     qs, ps = (np.array(a) for a in zip(*(_strategy_arrays(model, s) for s in strategies)))
     # per-step (K, 1) columns: the constant drift a*eta + a*eta2*q, the
     # claim-noise scale b*q, and pi
@@ -294,7 +289,6 @@ def simulate_strategies(
         PathBatch(
             n_paths=n_paths,
             seed=seed,
-            grid=grid,
             x_terminal=xt,
             v_terminal=v_terminal,
             min_v=min_v,
@@ -347,8 +341,6 @@ def estimate_reward(model: ValidatedModel, batch: PathBatch) -> SimulationResult
         utility_se=ses,
         cert_equiv=ces,
         reward=reward,
-        n_paths=batch.n_paths,
-        seed=batch.seed,
         weights=weights,
     )
 
@@ -367,11 +359,9 @@ class SpotCheckRow:
     violation: bool        # diff_rate < -3 * se
 
 
-def _perturbed_path(model, base: StrategyPath, q, pi, h) -> StrategyPath:
-    mask = base.grid < h
-    q_arr = np.where(mask, q, base.q_hat)
-    pi_arr = np.where(mask, pi, base.pi_hat)
-    return StrategyPath(grid=base.grid, q_hat=q_arr, pi_hat=pi_arr, regime=base.regime)
+def _perturbed_path(base: StrategyPath, q, pi, h) -> StrategyPath:
+    early = base.grid < h
+    return replace(base, q_hat=np.where(early, q, base.q_hat), pi_hat=np.where(early, pi, base.pi_hat))
 
 
 def equilibrium_spot_check(
@@ -391,7 +381,7 @@ def equilibrium_spot_check(
     standard errors is flagged, never raised.
     """
     base = equilibrium_strategy(model, gsol.g2)
-    strategies = [base] + [_perturbed_path(model, base, q, pi, h) for q, pi in perturbations]
+    strategies = [base] + [_perturbed_path(base, q, pi, h) for q, pi in perturbations]
     batches = simulate_strategies(model, strategies, n_paths, seed)
     eq = estimate_reward(model, batches[0])
     rows = []

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # the g2 solver's reduction lives in model, whose AversionDistribution.mean uses it too
-from .model import HestonParams, ValidatedModel, weighted_sum, weighted_sum_by  # noqa: F401
+from .model import HestonParams, ValidatedModel, weighted_sum_by
 
 BLOWUP_THRESHOLD = 1e8
 
@@ -66,7 +66,6 @@ class GSolution:
     g1: np.ndarray
     g2: np.ndarray
     g3: np.ndarray
-    step: float
 
 
 def g1_closed(t, gamma, r, T):
@@ -244,10 +243,8 @@ def solve_g(model: ValidatedModel) -> GSolution:
     hz = model.horizon
     grid = hz.grid()
     g1 = g1_closed(grid, np.asarray(model.dist.gammas)[:, None], model.heston.r, hz.T)
-    g2 = solve_g2_coupled(model)
-    g2[:, -1] = 0.0  # terminal condition pinned exactly
-    g3 = solve_g3(model, g1, g2)
-    return GSolution(grid=grid, g1=g1, g2=g2, g3=g3, step=hz.l)
+    g2 = solve_g2_coupled(model)  # g2(T) = 0 exactly: the solver starts there
+    return GSolution(grid=grid, g1=g1, g2=g2, g3=solve_g3(model, g1, g2))
 
 
 def residual_check(gsol: GSolution, model: ValidatedModel) -> np.ndarray:

@@ -7,6 +7,7 @@ a fraction to avoid decimal truncation.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 from .model import (
@@ -35,16 +36,9 @@ CASES = {"caseI": CASE_I, "caseII": CASE_II}
 STEP_YEARS = 1e-3  # default grid step for both horizons
 
 
-def horizon(T, x0=1.0):
-    """Uniform grid with the default 1e-3 year step."""
-    return Horizon(T=float(T), M=int(round(T / STEP_YEARS)), x0=x0)
-
-
 def baseline_model(case="caseI", T=10.0, M=None, x0=1.0, **heston_overrides):
-    """Validated baseline model for one aversion case and horizon."""
-    hz = horizon(T, x0=x0) if M is None else Horizon(T=float(T), M=int(M), x0=x0)
-    hs = BASE_HESTON
-    if heston_overrides:
-        hs = HestonParams(**{**hs.__dict__, **heston_overrides})
+    """Validated baseline model for one aversion case and horizon; M
+    defaults to the 1e-3 year step."""
+    hz = Horizon(T=float(T), M=int(round(T / STEP_YEARS) if M is None else M), x0=x0)
     dist = CASES[case] if isinstance(case, str) else case
-    return validate_config(BASE_INSURANCE, hs, dist, hz)
+    return validate_config(BASE_INSURANCE, replace(BASE_HESTON, **heston_overrides), dist, hz)

@@ -95,13 +95,8 @@ def check_admissibility(model: ValidatedModel, g2) -> AdmissibilityReport:
     g2_ok = np.all(g2 <= 0.0, axis=1)
     bad = (lhs > rhs) | (g2 > 0.0)
     passed = bool(np.all(lhs <= rhs) and np.all(g2_ok))
-    first_violation = None
-    if not passed:
-        atoms, points = np.nonzero(bad)
-        if atoms.size:
-            # earliest grid point, then lowest atom index
-            order = np.lexsort((atoms, points))
-            first_violation = (int(atoms[order[0]]), int(points[order[0]]))
+    violations = np.argwhere(bad.T)  # (grid point, atom) pairs: earliest point, then lowest atom
+    first_violation = (int(violations[0, 1]), int(violations[0, 0])) if len(violations) else None
     return AdmissibilityReport(
         grid=model.horizon.grid(),
         lhs=lhs,
@@ -176,6 +171,7 @@ def regime_classification(model: ValidatedModel) -> RegimeReport:
 
 _SENSITIVITY_PARAMS = ("r", "eta2", "lambda1", "mu1", "mu2")
 _EXPECTED_SIGNS = {"r": -1, "eta2": 1, "lambda1": 0, "mu1": 1, "mu2": -1}
+_REL_STEP = 1e-6  # central-difference step, relative to the parameter
 
 
 @dataclass
@@ -189,7 +185,7 @@ class SensitivityReport:
     agrees: bool
 
 
-def sensitivity_signs(model: ValidatedModel, t, rel_step=1e-6) -> SensitivityReport:
+def sensitivity_signs(model: ValidatedModel, t) -> SensitivityReport:
     """Central finite differences of the analytic q_hat in each insurance and
     rate parameter, compared against the known closed-form signs."""
     derivs = {}
@@ -201,7 +197,7 @@ def sensitivity_signs(model: ValidatedModel, t, rel_step=1e-6) -> SensitivityRep
         part = "heston" if name == "r" else "ins"
         params = getattr(model, part)
         base = getattr(params, name)
-        step = abs(base) * rel_step
+        step = abs(base) * _REL_STEP
         up = q_hat(replace(model, **{part: replace(params, **{name: base + step})}), t)
         dn = q_hat(replace(model, **{part: replace(params, **{name: base - step})}), t)
         d = float(up - dn) / (2.0 * step)

@@ -512,3 +512,51 @@ def test_sweep_pi_diff_needs_two_values(cfg_path, tmp_path, capsys):
     assert main(argv) == EXIT_CONFIG
     _assert_one_error_line(capsys, "pi_diff needs a baseline and at least one more value, got 1")
     assert not (tmp_path / "sw").exists()
+
+
+def test_zero_grid_step_is_exit_1(tmp_path, capsys):
+    """T = 5e-324 over M = 100 steps: T / M underflows to 0.0, a grid with
+    every point at t = 0 but the last. Validation refuses it before solve
+    writes such a grid or simulate divides by the step."""
+    p = tmp_path / "tiny.cfg"
+    p.write_text(BASE_CFG.replace("T = 10", "T = 5e-324").replace("M = 2000", "M = 100"), encoding="utf-8")
+    for argv in (["solve"], ["simulate", "--horizon", "1", *SIMULATE_FLAGS]):
+        assert main([*argv, "--config", str(p), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        _assert_one_error_line(capsys, "error: the grid step T / M must be > 0, got 0.0 (T = 5e-324, M = 100)")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key, value", [("kappa_typo", 3), ("gamas", [1])])
+def test_manifest_unknown_key_is_exit_1(cfg_path, tmp_path, capsys, key, value):
+    """A manifest's config table follows the config file's key rule."""
+    text = _manifest_with(cfg_path, tmp_path, key, value)
+    capsys.readouterr()
+    assert _run_manifest(tmp_path, text) == EXIT_CONFIG
+    _assert_one_error_line(capsys, f"error: unknown key {key!r}")
+    assert not (tmp_path / "o").exists()
+
+
+def test_numeric_flags_read_numbers_as_config_files_do(cfg_path, tmp_path, capsys):
+    """--paths 1e3 is 1000 paths, as paths = 1e3 in a manifest is; --horizon
+    takes a rational literal; --seed keeps all 64 bits; --threads 1e0 is one
+    thread."""
+    outs = []
+    for paths in ("1000", "1e3"):
+        outs.append(tmp_path / paths)
+        argv = ["simulate", "--config", cfg_path, "--out", str(outs[-1]), "--horizon", "7/2",
+                "--strategy", "zero", "--paths", paths, "--seed", str(2 ** 64 - 1), "--threads", "1e0"]
+        assert main(argv) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert _read(outs[0] / "simulation.csv") == _read(outs[1] / "simulation.csv")
+    with open(outs[1] / "manifest.json", encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    assert (manifest["config"]["T"], manifest["config"]["M"]) == (3.5, 700)
+    assert manifest["config"]["seed"] == 2 ** 64 - 1
+
+
+def test_floating_point_error_names_its_stage(tmp_path, capsys):
+    """eta2 = 4.5e154 squares past the float range in g3's quadrature."""
+    p = tmp_path / "eta2.cfg"
+    p.write_text(BASE_CFG.replace("eta2 = 0.5", "eta2 = 4.4971154940918574e+154"), encoding="utf-8")
+    assert main(["solve", "--config", str(p), "--out", str(tmp_path / "o")]) == EXIT_BLOWUP
+    _assert_one_error_line(capsys, "error: overflow encountered in multiply (in odes.solve_g3)")

@@ -6,7 +6,9 @@ became one %-format each; those of the sweep, simulate and fig7 files
 before the writers formatted column by column and sweep cells solved g2
 alone; those of solve at T = 100 before floats were printed by
 csvio.fmt17 and lines were built a block at a time; those of ATOM_RUNS
-before the writers became column specs of one table writer. Those
+before the writers became column specs of one table writer; the
+one-atom g_functions.csv and the four- and six-atom solve files before
+unread result fields and a no-op pin of g2 at t = T were deleted. Those
 changes kept every byte. A later change that moves an output bit fails here. The
 digests hold for IEEE float64 with a BLAS whose gemv rounds as OpenBLAS
 does on x86-64 (strategy.pi_bar_path and pi_hat_path reduce over the
@@ -87,14 +89,19 @@ SHORT_RUNS = {
 # years before maturity, so strategy.csv holds NewBusiness rows), at
 # gamma = 0.25 (ratio exactly 1: one Boundary row, at t = T), and three
 # atoms, whose M + 1 = 2001 grid points fill blocks of 682 points (2048 rows)
-# with a short last one
+# with a short last one; four and six atoms, whose pi_hat reduction over the
+# atoms follows the BLAS's gemv, as caseII's does
 ATOMS3 = ("0.5, 2, 4", "0.3, 0.3, 0.4")
+ATOMS4 = ("0.5, 1, 2, 4", "0.25, 0.25, 0.25, 0.25")
+ATOMS6 = ("0.5, 1, 1.5, 2, 3, 4", "0.1, 0.2, 0.2, 0.2, 0.2, 0.1")
 ATOM_RUNS = {
     ("solve", "0.2", "1", 10, 2000): {
+        "g_functions.csv": "bf13b72caeef9546c9a4105ea9fd757eafb1b08234fa9d56a1ab27653457e925",
         "strategy.csv": "4d6b93c821b1798f0c82680b3449ce63b0e7792d1ca0dcbb97a7c817e9cbb702",
         "regime.json": "90c8d032911adf14c00f7ecb2afaa9e9421e40d8ba957e8e456fde8faef0f873",
     },
     ("solve", "0.25", "1", 10, 2000): {
+        "g_functions.csv": "749df121796542536d391a05f6f6ca955b8e97743643cbab4a57659491c0a84f",
         "strategy.csv": "2cdd70eda3280eaf55575edff4332e9dec275920014f507fa6e1c83ec043bde6",
         "regime.json": "7d1bab230098791aa0617d754b983f7332215d94059ebc319f3c641e232a1193",
     },
@@ -102,6 +109,14 @@ ATOM_RUNS = {
         "g_functions.csv": "6d686b17c962e3fc5a185830d7264a58aea0a13a248a50b36130455c8c6cbda1",
         "strategy.csv": "c7aebcc9c8b1b1f6dc6cb12742fdd6f27185a569b4f5ba04c3d07866c3ef8129",
         "regime.json": "8334bb78bf330b0f583e9a1cd792182ae576177b9f881160038e67dc571daa24",
+    },
+    ("solve", *ATOMS4, 10, 2000): {
+        "g_functions.csv": "0034adbe7562d3a44747206cf2fe0da1f3b5e1fc61aec3aea70b64b1641a5d90",
+        "strategy.csv": "1ebf560db8eec7ecbb909c2c09f93d5975ce28051fd5272302acac681ecf2d73",
+    },
+    ("solve", *ATOMS6, 10, 2000): {
+        "g_functions.csv": "a65b5f02eb07e7955d219f1425e1bf8273850eae442cce0f9d0bc043ab780f3d",
+        "strategy.csv": "09e635dc8500fa018915a56d0763640a85aec9a1c34261793c5aa480fc3352a5",
     },
     ("check", *ATOMS3, 10, 2000): {
         "admissibility.csv": "361a593b9a4ccc055d12521ded4b7e94b454fa7684a645bb5deab8c2199d4d45",

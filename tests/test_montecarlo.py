@@ -125,7 +125,6 @@ def test_estimate_reward_underflow_uses_shifted_log_sum_exp(small_model):
     batch = PathBatch(
         n_paths=4,
         seed=0,
-        grid=small_model.horizon.grid(),
         x_terminal=np.full(4, 1e6),  # utilities underflow to -0.0
         v_terminal=np.full(4, 0.0225),
         min_v=0.0,
@@ -143,7 +142,7 @@ def test_estimate_reward_overflow_uses_shifted_log_sum_exp(small_model):
     -inf, the shifted estimate gives the finite certainty equivalent, and
     numpy warns of nothing (warnings are errors in this suite)."""
     x = np.array([-1000.0, -999.0, 1.0, 2.0])
-    batch = PathBatch(n_paths=4, seed=0, grid=small_model.horizon.grid(), x_terminal=x,
+    batch = PathBatch(n_paths=4, seed=0, x_terminal=x,
                       v_terminal=np.full(4, 0.0225), min_v=0.0)
     res = estimate_reward(small_model, batch)
     assert small_model.dist.gammas == (0.5, 4.0)
