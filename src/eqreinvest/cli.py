@@ -32,7 +32,7 @@ from .csvio import (
 from .model import Horizon, ValidationError, validate_config
 from .montecarlo import SimulationError, estimate_reward, simulate_paths
 from .odes import BlowUpError, solve_g, solve_g2_coupled
-from .presets import XI, baseline_model
+from .presets import CASES, XI, baseline_model
 from .strategy import (
     check_admissibility,
     equilibrium_strategy,
@@ -62,10 +62,11 @@ REPRODUCE_SWEEPS = {
     "fig11": ("mu2", [0.15, 0.2, 0.25], "q_hat", {}),
 }
 
+REPRODUCE_HORIZONS = {"T10": 10.0, "T100": 100.0}  # horizon tag -> T
+
 
 def _valid_case_ids():
-    return [f"{fig}/{horizon}/{case}"
-            for fig in REPRODUCE_SWEEPS for horizon in ("T10", "T100") for case in ("caseI", "caseII")]
+    return [f"{fig}/{tag}/{case}" for fig in REPRODUCE_SWEEPS for tag in REPRODUCE_HORIZONS for case in CASES]
 
 
 def _params_holding(model, param):
@@ -175,9 +176,10 @@ def cmd_check(args):
 
 def _parse_strategy_flag(model, token):
     if token == "equilibrium":
-        return equilibrium_strategy(model, solve_g2_coupled(model))
+        spath = equilibrium_strategy(model, solve_g2_coupled(model))
+        return spath.q_hat, spath.pi_hat
     if token == "zero":
-        return "zero"
+        return 0.0, 0.0
     if token.startswith("const:"):
         parts = token[len("const:"):].split(",")
         if len(parts) != 2:
@@ -275,7 +277,7 @@ def cmd_reproduce(args):
         raise ConfigError(f"unknown case id {case_id!r}; valid ids: {', '.join(_valid_case_ids())}")
     fig, horizon_tag, case = case_id.split("/")
     param, values, observable, overrides = REPRODUCE_SWEEPS[fig]
-    T = 10.0 if horizon_tag == "T10" else 100.0
+    T = REPRODUCE_HORIZONS[horizon_tag]
     t0 = time.perf_counter()
     model = baseline_model(case=case, T=T, **overrides)
     name = case_id.replace("/", "_") + ".csv"

@@ -26,7 +26,7 @@ from .model import (
 _PARTS = (InsuranceParams, HestonParams, Horizon)  # a config key per field, and the three below
 KEYS = tuple(f.name for cls in _PARTS for f in fields(cls)) + ("gammas", "probs", "seed")
 
-DEFAULTS = {"x0": 1.0, "seed": 12345}
+DEFAULTS = {"x0": Horizon.x0, "seed": 12345}
 
 
 class ConfigError(ValueError):

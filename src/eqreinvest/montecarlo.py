@@ -28,14 +28,14 @@ import contextvars
 import math
 import os
 import threading
-from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .model import ValidatedModel, weighted_sum
 from .odes import GSolution
-from .strategy import StrategyPath, equilibrium_strategy
+from .strategy import equilibrium_strategy
 
 CHUNK_SIZE = 16384
 _SMALLEST_NORMAL = np.finfo(float).tiny
@@ -60,8 +60,6 @@ class PathBatch:
     process.
     """
 
-    n_paths: int
-    seed: int
     x_terminal: np.ndarray
     v_terminal: np.ndarray
     min_v: float
@@ -87,18 +85,13 @@ class SimulationResult:
     weights: np.ndarray
 
 
-StrategySpec = Union[StrategyPath, str, Tuple[float, float]]
-
-
-def _strategy_arrays(model: ValidatedModel, strategy: StrategySpec):
-    """Per-step (left endpoint) q and pi arrays of length M."""
-    M = model.horizon.M
-    if isinstance(strategy, StrategyPath):
-        return strategy.q_hat[:-1], strategy.pi_hat[:-1]
-    if strategy == "zero":
-        return np.zeros(M), np.zeros(M)
-    q, pi = strategy
-    return np.full(M, float(q)), np.full(M, float(pi))
+def _left_ends(value, M):
+    """A strategy component's M per-step values, read at the left end of
+    each step: a number, or an array of its M + 1 values on the model grid."""
+    a = np.asarray(value, dtype=float)
+    if a.ndim and a.shape != (M + 1,):
+        raise ValueError(f"strategy array of shape {a.shape} on a model grid of {M + 1} points")
+    return np.broadcast_to(a, M + 1)[:-1]
 
 
 def worker_count(n_chunks: int, workers: Optional[int] = None) -> int:
@@ -117,7 +110,7 @@ def worker_count(n_chunks: int, workers: Optional[int] = None) -> int:
 
 def simulate_paths(
     model: ValidatedModel,
-    strategy: StrategySpec,
+    strategy: tuple,
     n_paths: int,
     seed: int,
     record_full: bool = False,
@@ -125,16 +118,18 @@ def simulate_paths(
 ) -> PathBatch:
     """Simulate n_paths of (wealth, variance) under the given strategy.
 
-    strategy is a StrategyPath on the model grid, the string "zero", or a
-    constant (q, pi) pair. Identical (model, strategy, n_paths, seed)
-    give a bit-identical batch, whatever the number of workers.
+    strategy is a pair (q, pi); each is a number or an array of its M + 1
+    values on the model grid (as equilibrium_strategy's q_hat and pi_hat),
+    read at the left end of each step. An array of another length raises
+    ValueError. Identical (model, strategy, n_paths, seed) give a
+    bit-identical batch, whatever the number of workers.
     """
     return simulate_strategies(model, [strategy], n_paths, seed, record_full, workers)[0]
 
 
 def simulate_strategies(
     model: ValidatedModel,
-    strategies: Sequence[StrategySpec],
+    strategies: Sequence[tuple],
     n_paths: int,
     seed: int,
     record_full: bool = False,
@@ -163,7 +158,7 @@ def simulate_strategies(
     d = model.diffusion
     M, l = hz.M, hz.l
     K = len(strategies)
-    qs, ps = (np.array(a) for a in zip(*(_strategy_arrays(model, s) for s in strategies)))
+    qs, ps = (np.array([_left_ends(c, M) for c in cs]) for cs in zip(*strategies))
     # per-step (K, 1) columns: the constant drift a*eta + a*eta2*q, the
     # claim-noise scale b*q, and pi
     drift0 = np.ascontiguousarray((d.a * d.eta + d.a * model.ins.eta2 * qs).T[:, :, None])
@@ -171,8 +166,7 @@ def simulate_strategies(
     pis = np.ascontiguousarray(ps.T[:, :, None])
     sqrt_l = math.sqrt(l)
     er = math.exp(hs.r * l)
-    # exact integral of e^{r(l-s)} ds over one step; -> l as r -> 0
-    growth = (er - 1.0) / hs.r if hs.r != 0.0 else l
+    growth = (er - 1.0) / hs.r  # exact integral of e^{r(l-s)} ds over one step; validation refuses r <= 0
     rho_c = math.sqrt(1.0 - hs.rho ** 2)
 
     x_terminal = [np.empty(n_paths) for _ in range(K)]
@@ -285,18 +279,8 @@ def simulate_strategies(
         raise errors[min(errors)]
     min_v = min(minima)
 
-    return [
-        PathBatch(
-            n_paths=n_paths,
-            seed=seed,
-            x_terminal=xt,
-            v_terminal=v_terminal,
-            min_v=min_v,
-            x_paths=xp,
-            v_paths=v_paths,
-        )
-        for xt, xp in zip(x_terminal, x_paths)
-    ]
+    return [PathBatch(x_terminal=xt, v_terminal=v_terminal, min_v=min_v, x_paths=xp, v_paths=v_paths)
+            for xt, xp in zip(x_terminal, x_paths)]
 
 
 def estimate_reward(model: ValidatedModel, batch: PathBatch) -> SimulationResult:
@@ -309,20 +293,21 @@ def estimate_reward(model: ValidatedModel, batch: PathBatch) -> SimulationResult
     shifted by the lowest terminal wealth; its utility mean and SE are
     reported as they came out, without numpy's warnings.
     """
-    if batch.n_paths < 1:
+    n = len(batch.x_terminal)
+    if n < 1:
         raise ValueError("empty path batch")
     gammas = np.asarray(model.dist.gammas)
     probs = np.asarray(model.dist.probs)
     means = np.empty(len(gammas))
     ses = np.empty(len(gammas))
     ces = np.empty(len(gammas))
-    weights = np.zeros(batch.n_paths)
+    weights = np.zeros(n)
     with np.errstate(over="ignore", invalid="ignore"):  # the shift below covers an overflow
         for i, (gamma, p) in enumerate(zip(gammas, probs)):
             u = -np.exp(-gamma * batch.x_terminal) / gamma  # the utility -e^{-gamma x} / gamma
             mean = float(np.mean(u))
             means[i] = mean
-            ses[i] = float(np.std(u, ddof=1) / math.sqrt(batch.n_paths)) if batch.n_paths > 1 else 0.0
+            ses[i] = float(np.std(u, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
             if -math.inf < mean < -_SMALLEST_NORMAL:
                 ces[i] = -math.log(-gamma * mean) / gamma  # the utility's inverse
                 weights += p * u / (-gamma * mean)
@@ -359,11 +344,6 @@ class SpotCheckRow:
     violation: bool        # diff_rate < -3 * se
 
 
-def _perturbed_path(base: StrategyPath, q, pi, h) -> StrategyPath:
-    early = base.grid < h
-    return replace(base, q_hat=np.where(early, q, base.q_hat), pi_hat=np.where(early, pi, base.pi_hat))
-
-
 def equilibrium_spot_check(
     model: ValidatedModel,
     gsol: GSolution,
@@ -381,7 +361,9 @@ def equilibrium_spot_check(
     standard errors is flagged, never raised.
     """
     base = equilibrium_strategy(model, gsol.g2)
-    strategies = [base] + [_perturbed_path(base, q, pi, h) for q, pi in perturbations]
+    early = base.grid < h
+    strategies = [(base.q_hat, base.pi_hat)] + [
+        (np.where(early, q, base.q_hat), np.where(early, pi, base.pi_hat)) for q, pi in perturbations]
     batches = simulate_strategies(model, strategies, n_paths, seed)
     eq = estimate_reward(model, batches[0])
     rows = []

@@ -169,7 +169,6 @@ def regime_classification(model: ValidatedModel) -> RegimeReport:
     return RegimeReport(ratio=ratio, crossover_tau=crossover, reinsurance_throughout=ratio < 1.0)
 
 
-_SENSITIVITY_PARAMS = ("r", "eta2", "lambda1", "mu1", "mu2")
 _EXPECTED_SIGNS = {"r": -1, "eta2": 1, "lambda1": 0, "mu1": 1, "mu2": -1}
 _REL_STEP = 1e-6  # central-difference step, relative to the parameter
 
@@ -190,7 +189,7 @@ def sensitivity_signs(model: ValidatedModel, t) -> SensitivityReport:
     rate parameter, compared against the known closed-form signs."""
     derivs = {}
     signs = {}
-    for name in _SENSITIVITY_PARAMS:
+    for name in _EXPECTED_SIGNS:
         # q_hat reads only the model's insurance moments, r and E[gamma], so
         # the perturbed models need no re-derived diffusion; the claim
         # intensity cancels in retention_ratio, so a lambda1 step gives 0 exactly

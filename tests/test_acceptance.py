@@ -242,23 +242,24 @@ def test_criterion_08_monte_carlo_sanity(report):
     # (i) zero strategy reproduces the deterministic wealth ODE
     m = baseline_model("caseI", T=10.0)
     hz, hs, d = m.horizon, m.heston, m.diffusion
-    batch = simulate_paths(m, "zero", n_paths=64, seed=101)
+    batch = simulate_paths(m, (0.0, 0.0), n_paths=64, seed=101)
     expected = hz.x0 * math.exp(hs.r * hz.T) + (d.a * d.eta / hs.r) * (math.exp(hs.r * hz.T) - 1.0)
     dev_wealth = float(np.max(np.abs(batch.x_terminal - expected)) / abs(expected))
     ok_wealth = dev_wealth <= 1e-10
 
     # (ii) square-root-process mean: theta + (v0 - theta) e^{-kappa t}
     mv = baseline_model("caseI", T=1.0, M=1000, v0=0.04)
-    bv = simulate_paths(mv, "zero", n_paths=100_000, seed=202)
+    bv = simulate_paths(mv, (0.0, 0.0), n_paths=100_000, seed=202)
     target = mv.heston.theta + (0.04 - mv.heston.theta) * math.exp(-mv.heston.kappa * 1.0)
-    se_v = float(np.std(bv.v_terminal, ddof=1) / math.sqrt(bv.n_paths))
+    se_v = float(np.std(bv.v_terminal, ddof=1) / math.sqrt(len(bv.v_terminal)))
     dev_v = abs(float(np.mean(bv.v_terminal)) - target)
     ok_var = dev_v <= 3.0 * se_v
 
     # (iii) per-atom expected utility matches the ansatz at t = 0
     mf = baseline_model("caseI", T=1.0, M=1000)
     gsol = solve_g(mf)
-    bf = simulate_paths(mf, equilibrium_strategy(mf, gsol.g2), n_paths=100_000, seed=303)
+    sf = equilibrium_strategy(mf, gsol.g2)
+    bf = simulate_paths(mf, (sf.q_hat, sf.pi_hat), n_paths=100_000, seed=303)
     res = estimate_reward(mf, bf)
     devs = []
     ok_fk = True

@@ -35,23 +35,23 @@ def small_model():
 
 
 def test_reproducible_batches(small_model):
-    b1 = simulate_paths(small_model, "zero", n_paths=500, seed=7)
-    b2 = simulate_paths(small_model, "zero", n_paths=500, seed=7)
+    b1 = simulate_paths(small_model, (0.0, 0.0), n_paths=500, seed=7)
+    b2 = simulate_paths(small_model, (0.0, 0.0), n_paths=500, seed=7)
     assert np.array_equal(b1.x_terminal, b2.x_terminal)
     assert np.array_equal(b1.v_terminal, b2.v_terminal)
 
 
 def test_seed_changes_paths(small_model):
     # under the zero strategy wealth is noiseless, so compare the variance
-    b1 = simulate_paths(small_model, "zero", n_paths=500, seed=7)
-    b2 = simulate_paths(small_model, "zero", n_paths=500, seed=8)
+    b1 = simulate_paths(small_model, (0.0, 0.0), n_paths=500, seed=7)
+    b2 = simulate_paths(small_model, (0.0, 0.0), n_paths=500, seed=8)
     assert not np.array_equal(b1.v_terminal, b2.v_terminal)
 
 
 def test_chunking_invariance(small_model):
     """The first CHUNK_SIZE paths are identical whatever the total count."""
-    b1 = simulate_paths(small_model, "zero", n_paths=100, seed=3)
-    b2 = simulate_paths(small_model, "zero", n_paths=700, seed=3)
+    b1 = simulate_paths(small_model, (0.0, 0.0), n_paths=100, seed=3)
+    b2 = simulate_paths(small_model, (0.0, 0.0), n_paths=700, seed=3)
     assert np.array_equal(b1.x_terminal, b2.x_terminal[:100])
 
 
@@ -59,23 +59,23 @@ def test_zero_strategy_wealth_deterministic(small_model):
     """With q = pi = 0 the wealth ODE is linear and the exact-rate scheme
     reproduces its solution to machine precision."""
     hz, hs, d = small_model.horizon, small_model.heston, small_model.diffusion
-    batch = simulate_paths(small_model, "zero", n_paths=64, seed=1)
+    batch = simulate_paths(small_model, (0.0, 0.0), n_paths=64, seed=1)
     expected = hz.x0 * math.exp(hs.r * hz.T) + (d.a * d.eta / hs.r) * (math.exp(hs.r * hz.T) - 1.0)
     assert np.max(np.abs(batch.x_terminal - expected)) <= 1e-10 * abs(expected)
 
 
 def test_variance_nonnegative_and_mean_reverting(small_model):
-    batch = simulate_paths(small_model, "zero", n_paths=20000, seed=11, record_full=True)
+    batch = simulate_paths(small_model, (0.0, 0.0), n_paths=20000, seed=11, record_full=True)
     assert batch.min_v >= 0.0
     assert np.all(batch.v_paths >= 0.0)
     # E[v_T] for the square-root process started at theta stays at theta
     mean_v = float(np.mean(batch.v_terminal))
-    se = float(np.std(batch.v_terminal, ddof=1) / math.sqrt(batch.n_paths))
+    se = float(np.std(batch.v_terminal, ddof=1) / math.sqrt(len(batch.v_terminal)))
     assert abs(mean_v - small_model.heston.theta) < 4.0 * se + 1e-4
 
 
 def test_full_record_shapes(small_model):
-    batch = simulate_paths(small_model, "zero", n_paths=10, seed=2, record_full=True)
+    batch = simulate_paths(small_model, (0.0, 0.0), n_paths=10, seed=2, record_full=True)
     M = small_model.horizon.M
     assert batch.x_paths.shape == (10, M + 1)
     assert batch.v_paths.shape == (10, M + 1)
@@ -85,14 +85,29 @@ def test_full_record_shapes(small_model):
 
 
 def test_constant_strategy_spec(small_model):
+    grid_zeros = np.zeros(small_model.horizon.M + 1)
     b1 = simulate_paths(small_model, (0.0, 0.0), n_paths=50, seed=4)
-    b2 = simulate_paths(small_model, "zero", n_paths=50, seed=4)
+    b2 = simulate_paths(small_model, (grid_zeros, grid_zeros), n_paths=50, seed=4)
     assert np.array_equal(b1.x_terminal, b2.x_terminal)
+
+
+def test_strategy_array_on_another_grid_is_refused():
+    """A grid array of a finer or a coarser model raises ValueError, naming
+    both lengths, before any chunk runs."""
+    from eqreinvest.odes import solve_g2_coupled
+
+    m100, m200 = (baseline_model("caseI", T=1.0, M=M) for M in (100, 200))
+    for m, other in ((m100, m200), (m200, m100)):
+        spath = equilibrium_strategy(other, solve_g2_coupled(other))
+        lengths = rf"\({other.horizon.M + 1},\).* {m.horizon.M + 1} points"
+        for strategy in ((spath.q_hat, spath.pi_hat), (0.5, spath.pi_hat), (spath.q_hat, 0.5)):
+            with pytest.raises(ValueError, match=lengths):
+                simulate_paths(m, strategy, 1000, 1)
 
 
 def test_invalid_path_count(small_model):
     with pytest.raises(ValueError):
-        simulate_paths(small_model, "zero", n_paths=0, seed=1)
+        simulate_paths(small_model, (0.0, 0.0), n_paths=0, seed=1)
 
 
 def test_simulation_error_on_divergence(small_model):
@@ -105,7 +120,7 @@ def test_simulation_error_on_divergence(small_model):
 def test_estimate_reward_zero_strategy(small_model):
     """Deterministic terminal wealth: CE of every atom equals that wealth and
     all standard errors vanish."""
-    batch = simulate_paths(small_model, "zero", n_paths=128, seed=6)
+    batch = simulate_paths(small_model, (0.0, 0.0), n_paths=128, seed=6)
     res = estimate_reward(small_model, batch)
     x = batch.x_terminal[0]
     assert np.allclose(res.cert_equiv, x, rtol=1e-12)
@@ -123,8 +138,6 @@ def test_estimate_reward_mixture_below_best_atom(small_model):
 
 def test_estimate_reward_underflow_uses_shifted_log_sum_exp(small_model):
     batch = PathBatch(
-        n_paths=4,
-        seed=0,
         x_terminal=np.full(4, 1e6),  # utilities underflow to -0.0
         v_terminal=np.full(4, 0.0225),
         min_v=0.0,
@@ -142,8 +155,7 @@ def test_estimate_reward_overflow_uses_shifted_log_sum_exp(small_model):
     -inf, the shifted estimate gives the finite certainty equivalent, and
     numpy warns of nothing (warnings are errors in this suite)."""
     x = np.array([-1000.0, -999.0, 1.0, 2.0])
-    batch = PathBatch(n_paths=4, seed=0, x_terminal=x,
-                      v_terminal=np.full(4, 0.0225), min_v=0.0)
+    batch = PathBatch(x_terminal=x, v_terminal=np.full(4, 0.0225), min_v=0.0)
     res = estimate_reward(small_model, batch)
     assert small_model.dist.gammas == (0.5, 4.0)
     assert res.utility_mean[1] == -math.inf
@@ -170,7 +182,8 @@ def test_underflowing_cert_equiv_matches_ansatz():
         Horizon(T=1.0, M=1000, x0=30.0),
     )
     gsol = solve_g(m)
-    res = estimate_reward(m, simulate_paths(m, equilibrium_strategy(m, gsol.g2), 10000, seed=30))
+    spath = equilibrium_strategy(m, gsol.g2)
+    res = estimate_reward(m, simulate_paths(m, (spath.q_hat, spath.pi_hat), 10000, seed=30))
     assert res.utility_mean[1] == 0.0  # the plain mean underflows
     for i, gamma in enumerate(m.dist.gammas):
         expo = gsol.g1[i, 0] * m.horizon.x0 + gsol.g2[i, 0] * m.heston.v0 + gsol.g3[i, 0]
@@ -186,7 +199,7 @@ def test_feynman_kac_consistency():
     m = baseline_model("caseI", T=1.0, M=1000)
     gsol = solve_g(m)
     spath = equilibrium_strategy(m, gsol.g2)
-    batch = simulate_paths(m, spath, n_paths=40000, seed=21)
+    batch = simulate_paths(m, (spath.q_hat, spath.pi_hat), n_paths=40000, seed=21)
     res = estimate_reward(m, batch)
     for i, gamma in enumerate(m.dist.gammas):
         expo = gsol.g1[i, 0] * m.horizon.x0 + gsol.g2[i, 0] * m.heston.v0 + gsol.g3[i, 0]
@@ -219,7 +232,7 @@ def _same_batch(a, b):
         assert (x is None) == (y is None), name
         if x is not None:
             assert x.tobytes() == y.tobytes(), name
-    assert a.min_v == b.min_v and a.n_paths == b.n_paths and a.seed == b.seed
+    assert a.min_v == b.min_v
 
 
 def test_shared_pass_matches_single_runs_across_chunks():
@@ -228,7 +241,8 @@ def test_shared_pass_matches_single_runs_across_chunks():
     from eqreinvest.odes import solve_g
 
     m = baseline_model("caseII", T=1.0, M=20)
-    strategies = [equilibrium_strategy(m, solve_g(m).g2), "zero", (0.3, 7 / 15)]
+    spath = equilibrium_strategy(m, solve_g(m).g2)
+    strategies = [(spath.q_hat, spath.pi_hat), (0.0, 0.0), (0.3, 7 / 15)]
     n = CHUNK_SIZE + 5
     shared = simulate_strategies(m, strategies, n, seed=12, record_full=True)
     assert len(shared) == 3
@@ -256,11 +270,10 @@ def test_spot_check_rows_match_per_strategy_runs():
     rows = equilibrium_spot_check(m, gsol, perturbations, h, n, seed)
 
     base = equilibrium_strategy(m, gsol.g2)
-    eq = estimate_reward(m, simulate_paths(m, base, n, seed))
+    eq = estimate_reward(m, simulate_paths(m, (base.q_hat, base.pi_hat), n, seed))
     for row, (q, pi) in zip(rows, perturbations):
         early = base.grid < h
-        pert = dataclasses.replace(base, q_hat=np.where(early, q, base.q_hat),
-                                   pi_hat=np.where(early, pi, base.pi_hat))
+        pert = (np.where(early, q, base.q_hat), np.where(early, pi, base.pi_hat))
         res = estimate_reward(m, simulate_paths(m, pert, n, seed))
         rate = (eq.reward - res.reward) / h
         rate_se = float(np.std(eq.weights - res.weights, ddof=1) / math.sqrt(n)) / h
@@ -274,7 +287,8 @@ def test_workers_do_not_change_outputs(four_cores):
     from eqreinvest.odes import solve_g
 
     m = baseline_model("caseII", T=1.0, M=20)
-    strategies = [equilibrium_strategy(m, solve_g(m).g2), "zero", (0.3, 7 / 15)]
+    spath = equilibrium_strategy(m, solve_g(m).g2)
+    strategies = [(spath.q_hat, spath.pi_hat), (0.0, 0.0), (0.3, 7 / 15)]
     n = 2 * CHUNK_SIZE + 5
     assert worker_count(3, 2) == 2
     serial = simulate_strategies(m, strategies, n, seed=12, record_full=True, workers=1)
@@ -329,7 +343,7 @@ def test_worker_count_caps(four_cores):
 @given(st.integers(1, 3 * CHUNK_SIZE), st.integers(1, 4), st.integers(1, 4), st.integers(0, 2 ** 32))
 def test_workers_do_not_change_outputs_property(four_cores, n_paths, workers, M, seed):
     m = baseline_model("caseI", T=0.1, M=M)
-    strategies = [(0.4, 0.9), "zero"]
+    strategies = [(0.4, 0.9), (0.0, 0.0)]
     serial = simulate_strategies(m, strategies, n_paths, seed, record_full=True, workers=1)
     for a, b in zip(serial, simulate_strategies(m, strategies, n_paths, seed, record_full=True,
                                                 workers=workers)):
