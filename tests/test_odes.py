@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -170,6 +171,55 @@ def test_blow_up_to_non_finite_in_first_step():
         solve_g2_coupled(m)
     assert exc.value.step == 1
     assert exc.value.value == math.inf
+
+
+def _fixed_law(n):
+    """n atoms at gammas in [0.2, 8.2) and unequal weights, by a closed formula."""
+    gammas = [0.2 + (i * 37 % 101) / 12.5 for i in range(n)]
+    weights = [1.0 + (i * 13 % 7) for i in range(n)]
+    total = math.fsum(weights)
+    return AversionDistribution.from_lists(gammas, [w / total for w in weights])
+
+
+# sha256 of solve_g2_coupled(model).tobytes() for _fixed_law(n) on the
+# baseline market with overrides, recorded before the step was generated
+# for the model's atom count: (n, T, M, overrides) -> digest
+G2_DIGESTS = {
+    (5, 10.0, 1000, ()): "57434d566e6b24a1adc5aec89a9349fde3d2c556236fd786941b3e4c505877a6",
+    (7, 10.0, 1000, (("rho", 0.6), ("sigma", 0.3))):
+        "de3a387f6c2e7b8591c988a1caa27efccfdad50a9717f92fca5ef89ef4e6ae81",
+    (10, 5.0, 1000, (("kappa", 2.0),)): "2e20595f81afba094886f0202a4ec21eea711f5d0d78f8221e1964117ce1f26b",
+    (15, 10.0, 500, (("rho", -0.9),)): "e287ee7681dbdd570e6e385799e79e0d65777f9b3eca866156d66df0cfddfb04",
+    (200, 2.0, 200, ()): "15f74dd2828a6601a91b9bac5088b332ab8c958b80ce17a0fc2ce41c6685df1b",
+}
+
+# vol of vol 1e100 (with theta 1e200 for Feller) makes h^2 overflow within
+# a few steps; xi = 30 at rho = -0.9 diverges after tens of steps
+_HUGE = (("sigma", 1e100), ("theta", 1e200), ("kappa", 1.0))
+_STEEP = (("xi", 30.0), ("sigma", 1.0), ("theta", 1.0), ("rho", -0.9))
+
+# BlowUpError (step, value), recorded as G2_DIGESTS were
+BLOW_UPS = {
+    (1, 1.0, 100, _HUGE + (("xi", 1e-80), ("rho", 0.0))): (5, 1.4547175543135137e+89),
+    (3, 1.0, 100, _HUGE + (("xi", 1e-85), ("rho", -0.5))): (3, math.inf),
+    (5, 10.0, 10000, _STEEP): (93, 738156769437.1532),
+    (7, 10.0, 10000, _STEEP): (72, 913797507985.9194),
+    (15, 1.0, 100, _HUGE + (("xi", 1e-60), ("rho", -0.5))): (2, math.inf),
+}
+
+
+@pytest.mark.parametrize("n,T,M,overrides", list(G2_DIGESTS))
+def test_g2_bytes_match_pinned_digests(n, T, M, overrides):
+    m = baseline_model(_fixed_law(n), T=T, M=M, **dict(overrides))
+    assert hashlib.sha256(solve_g2_coupled(m).tobytes()).hexdigest() == G2_DIGESTS[(n, T, M, overrides)]
+
+
+@pytest.mark.parametrize("n,T,M,overrides", list(BLOW_UPS))
+def test_blow_up_step_and_value_match_pins(n, T, M, overrides):
+    m = baseline_model(_fixed_law(n), T=T, M=M, **dict(overrides))
+    with pytest.raises(BlowUpError) as exc:
+        solve_g2_coupled(m)
+    assert (exc.value.step, exc.value.value) == BLOW_UPS[(n, T, M, overrides)]
 
 
 def test_minimal_grid_runs():
