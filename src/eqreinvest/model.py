@@ -15,57 +15,71 @@ import numpy as np
 
 PROB_SUM_TOL = 1e-12
 
-_SPLITTER = 134217729.0  # 2^27 + 1: Veltkamp's split of a double into two 26-bit halves
+# Veltkamp's split of x into x_hi + x_lo (2^27 + 1 splits a double into two
+# 26-bit halves), and acc = fma(v, w, acc) for an atom after the first, as
+# source text: Dekker's two-product gives v * w as prod + err exactly, and
+# fsum rounds prod + err + acc correctly. The text reads fsum and w's split
+_SPLIT = "c = 134217729.0 * {x}; {x}_hi = c - (c - {x}); {x}_lo = {x} - {x}_hi"
+_FMA_STEP = """\
+prod = {v} * {w}; {split}
+err = (({v}_hi * {w}_hi - prod) + {v}_hi * {w}_lo + {v}_lo * {w}_hi) + {v}_lo * {w}_lo
+try:
+    {acc} = fsum((prod, err, {acc}))
+except (ValueError, OverflowError):  # inf - inf, or a sum past the float range
+    {acc} = prod + {acc}"""
 
 
-def _split(x):
-    c = _SPLITTER * x
-    hi = c - (c - x)
-    return hi, x - hi
+def split_source(weights):
+    """Source lines that split each weight after the first, as
+    weighted_sum_source reads them; weights is a list of names."""
+    return [_SPLIT.format(x=w) for w in weights[1:]]
 
 
-def weighted_sum_by(weights):
-    """The reduction values -> sum_i values[i] * weights[i], weights split once.
+def weighted_sum_source(values, weights, acc):
+    """Source lines that set acc to sum_i values[i] * weights[i], rounded as
+    weighted_sum rounds it; values and weights are lists of names."""
+    if not values:
+        return [f"{acc} = 0.0"]
+    lines = [f"{acc} = {values[0]} * {weights[0]} + 0.0"]  # fma(v_0, w_0, +0.0)
+    for v, w in zip(values[1:], weights[1:]):
+        lines += _FMA_STEP.format(v=v, w=w, acc=acc, split=_SPLIT.format(x=v)).splitlines()
+    return lines
 
-    The sum is rounded as fused multiply-adds in atom order from +0.0:
-    acc = fma(v_i, w_i, acc). This is what OpenBLAS's ddot computes for up
-    to 15 atoms; from 16 on its blocked kernel rounds differently. Python
-    has no fma before 3.13, so each step is emulated exactly: Dekker's
-    two-product gives v_i w_i as prod + err without rounding, and math.fsum
-    rounds prod + err + acc correctly. The emulation is exact while no
-    |v_i| or |w_i| exceeds about 1e300 (the split would overflow) and no
-    nonzero product falls below about 1e-290 (err would not be
-    representable). Since acc starts at +0.0, an exact zero sum is +0.0,
-    as fsum returns it. Outside the domain the sum can differ from fma's
-    but does not raise: a non-finite or overflowing step is a plain add.
-    """
-    w0 = float(weights[0]) if len(weights) else 0.0
-    rest = [(float(w), *_split(float(w))) for w in weights[1:]]
-    fsum = math.fsum
 
-    def weighted(values):
-        it = iter(values)
-        acc = next(it, 0.0) * w0 + 0.0  # fma(v_0, w_0, +0.0)
-        for v, (w, w_hi, w_lo) in zip(it, rest):
-            prod = v * w
-            c = _SPLITTER * v
-            v_hi = c - (c - v)
-            v_lo = v - v_hi
-            err = ((v_hi * w_hi - prod) + v_hi * w_lo + v_lo * w_hi) + v_lo * w_lo
-            try:
-                acc = fsum((prod, err, acc))
-            except (ValueError, OverflowError):  # inf - inf, or a sum past the float range
-                acc = prod + acc
-        return acc
+def define(source, name, **namespace):
+    """The function called name that source defines, in a namespace of its own."""
+    exec(compile(source, f"<eqreinvest {name}>", "exec"), namespace)
+    return namespace[name]
 
-    return weighted
+
+@functools.cache
+def _weighted_sum(n):
+    values, weights = [f"v{i}" for i in range(n)], [f"w{i}" for i in range(n)]
+    lines = [*split_source(weights), *weighted_sum_source(values, weights, "acc"), "return acc"]
+    return define(f"def weighted({', '.join(values + weights)}):\n    " + "\n    ".join(lines),
+                  "weighted", fsum=math.fsum)
 
 
 def weighted_sum(values, weights):
-    """sum_i values[i] * weights[i] as sequential fma in atom order (see weighted_sum_by)."""
+    """sum_i values[i] * weights[i], rounded as fused multiply-adds in atom
+    order from +0.0: acc = fma(v_i, w_i, acc), written out for the number
+    of values and compiled once per number.
+
+    OpenBLAS's SkylakeX ddot rounds the same for up to 15 atoms, but its
+    Haswell kernel differs in 17-37% of random draws, so the sum is defined
+    here and not by the BLAS. Python has no fma before 3.13, so each step
+    is emulated exactly: Dekker's two-product gives v_i w_i as prod + err
+    without rounding, and math.fsum rounds prod + err + acc correctly. The
+    emulation is exact while no |v_i| or |w_i| exceeds about 1e300 (the
+    split would overflow) and no nonzero product falls below about 1e-290
+    (err would not be representable). Since acc starts at +0.0, an exact
+    zero sum is +0.0, as fsum returns it. Outside the domain the sum can
+    differ from fma's but does not raise: a non-finite or overflowing step
+    is a plain add.
+    """
     if len(values) != len(weights):
         raise ValueError(f"values and weights differ in length: {len(values)} vs {len(weights)}")
-    return weighted_sum_by(weights)(values)
+    return _weighted_sum(len(values))(*values, *map(float, weights))
 
 
 class ValidationError(ValueError):

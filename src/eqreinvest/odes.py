@@ -13,13 +13,14 @@ once each.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 # the g2 solver's reduction lives in model, whose AversionDistribution.mean uses it too
-from .model import HestonParams, ValidatedModel, weighted_sum_by
+from .model import HestonParams, ValidatedModel, define, split_source, weighted_sum_source
 
 BLOWUP_THRESHOLD = 1e8
 
@@ -106,19 +107,25 @@ def q_hat(model: ValidatedModel, t):
     return retention_ratio(model) * np.exp(-model.heston.r * (model.horizon.T - t))
 
 
-def pi_bar(heston: HestonParams, mean_gamma, weighted_g2):
-    """Undiscounted investment kernel (xi + rho*sigma*sum_j p_j g2_j) / E[gamma].
+# The g2 formulas as expression text, each written once: pi_bar_path and
+# g2_right_side evaluate them on arrays, and the solver's step writes them
+# out inline for the model's atom count
+PI_BAR = "(xi + rs * {w}) / mean_gamma"
+RIGHT_SIDE = "xi * {pg} + 0.5 * ({pg} * {pg}) - kappa * {h} + half_s2 * ({h} * {h}) + rs * {pg} * {h}"
 
-    weighted_g2 is sum_j p_j g2_j, a float or an array over the grid;
-    pi_hat(t) = pi_bar(t) * e^{-r(T-t)}.
-    """
-    return (heston.xi + heston.rho * heston.sigma * weighted_g2) / mean_gamma
+
+def _constants(heston: HestonParams):
+    """The market names that the formula texts read."""
+    return {"xi": heston.xi, "kappa": heston.kappa, "rs": heston.rho * heston.sigma,
+            "half_s2": 0.5 * heston.sigma ** 2}
 
 
 def pi_bar_path(model: ValidatedModel, g2) -> np.ndarray:
-    """Undiscounted investment kernel on the grid, from g2 alone."""
-    probs = np.asarray(model.dist.probs)
-    return pi_bar(model.heston, model.mean_gamma, probs @ g2)
+    """Undiscounted investment kernel pi_bar = (xi + rho*sigma*sum_j p_j g2_j) / E[gamma]
+    on the grid, from g2 alone; pi_hat(t) = pi_bar(t) * e^{-r(T-t)}."""
+    weighted_g2 = np.asarray(model.dist.probs) @ g2
+    return eval(PI_BAR.format(w="w"), {**_constants(model.heston), "mean_gamma": model.mean_gamma,
+                                       "w": weighted_g2})
 
 
 def pi_hat_path(model: ValidatedModel, g2) -> np.ndarray:
@@ -131,16 +138,50 @@ def g2_right_side(heston: HestonParams):
     """The right side F(pg, h) of one atom's g2 equation, -dg2/dt = F.
 
     pg is pi_hat * g1 of the atom and h its g2; both may be floats or
-    arrays. The atoms couple only through pi_hat (see pi_bar).
+    arrays. The atoms couple only through pi_hat (see PI_BAR).
     """
-    xi, kappa = heston.xi, heston.kappa
-    rs = heston.rho * heston.sigma
-    half_s2 = 0.5 * heston.sigma ** 2
+    return eval(f"lambda pg, h: {RIGHT_SIDE.format(pg='pg', h='h')}", _constants(heston))
 
-    def right_side(pg, h):
-        return xi * pg + 0.5 * (pg * pg) - kappa * h + half_s2 * (h * h) + rs * pg * h
 
-    return right_side
+@functools.cache
+def _g2_integrator(n):
+    """The loop of solve_g2_coupled written out for n atoms, compiled on the
+    first solve with n atoms: the state is h0..h{n-1}, and the weighted
+    sums, PI_BAR and RIGHT_SIDE are inlined."""
+    def each(template, sep="; "):
+        return sep.join(template.format(i=i) for i in range(n))
+
+    h, p, ng, w = ([f"{x}{i}" for i in range(n)] for x in ("h", "p", "ng", "w"))
+    state = "(" + each("h{i}, ", "") + ")"
+    predictor = ("pg = pi_hat * g{i}; f{i} = " + RIGHT_SIDE.format(pg="pg", h="h{i}")
+                 + "; p{i} = h{i} + l * f{i}")
+    # the corrector's right side keeps its parentheses, or last bits move
+    corrector = ("pg = pi_hat * n{i}; h{i} = h{i} + half_l * (f{i} + ("
+                 + RIGHT_SIDE.format(pg="pg", h="p{i}") + "))")
+    step = [
+        "growth = exp(r * s); " + each("n{i} = ng{i} * growth"), "decay_next = exp(-r * s)",
+        *weighted_sum_source(h, w, "acc"), f"pi_hat = ({PI_BAR.format(w='acc')}) * decay",
+        each(predictor, "\n"),
+        *weighted_sum_source(p, w, "acc"), f"pi_hat = ({PI_BAR.format(w='acc')}) * decay_next",
+        each(corrector, "\n"),
+        f"if not ({each('low <= h{i} <= high', ' and ')}):  # nan fails too",
+        f"    h = {state}; value = max(map(abs, h)) if all(map(math.isfinite, h)) else math.inf",
+        f"    raise BlowUpError(len(flat) // {n}, value)",
+        f"flat += {state}", "decay = decay_next; " + each("g{i} = n{i}"),
+    ]
+    body = "\n".join(step).replace("\n", "\n" + " " * 8)
+    return define(f"""
+def integrate({", ".join(ng + w)}, *, s_grid, xi, kappa, rs, half_s2, mean_gamma, r, l, half_l,
+              exp=math.exp, fsum=math.fsum, low=-BLOWUP_THRESHOLD, high=BLOWUP_THRESHOLD):
+    {"; ".join(split_source(w))}
+    {each("h{i} = 0.0")}
+    flat = list({state})
+    growth = exp(r * s_grid[0]); {each("g{i} = ng{i} * growth")}
+    decay = exp(-r * s_grid[0])
+    for s in s_grid[1:]:
+        {body}
+    return flat
+""", "integrate", math=math, BLOWUP_THRESHOLD=BLOWUP_THRESHOLD, BlowUpError=BlowUpError)
 
 
 def solve_g2_coupled(model: ValidatedModel) -> np.ndarray:
@@ -153,67 +194,23 @@ def solve_g2_coupled(model: ValidatedModel) -> np.ndarray:
     |h2| exceeds BLOWUP_THRESHOLD (inf if any is not finite), found by one
     range test per atom and step.
 
-    The state is a list of floats advanced atom by atom, since numpy's
-    per-call overhead on n-element arrays dominated the step cost; the
-    predictor and the corrector are one loop over the atoms each. Every
-    operation keeps the order and rounding of the array form (x * x rather
-    than x ** 2, which goes through libm pow), and the probability-weighted
-    sum is the atom-order fma of weighted_sum_by, which is what numpy's dot
-    rounds to for up to 15 atoms. The discount e^{-rs} and the g1 values
-    -gamma_i e^{rs} are computed once per grid point and shared by the
+    The loop is generated for the model's atom count and compiled once per
+    count (_g2_integrator): the state lives in locals h0..h{n-1}, and the
+    weighted sums, PI_BAR and RIGHT_SIDE are written out inline, since
+    per-atom lists, zips and calls cost more than the arithmetic. Every
+    operation keeps the order and rounding of the array form (x * x, not
+    x ** 2, which goes through libm pow), and each weighted sum is the
+    atom-order fma of model.weighted_sum, which does not depend on the
+    BLAS. e^{-rs} and g1(T - s) = -gamma_i e^{rs} (not g1_closed, which
+    rounds T - (T - s)) are computed once per grid point and shared by the
     corrector that ends a step and the predictor that starts the next.
     """
-    hs = model.heston
-    l = model.horizon.l
-    n = model.dist.n
-    neg_gammas = [-float(g) for g in model.dist.gammas]
-    weighted = weighted_sum_by(model.dist.probs)
-    e_gamma = model.mean_gamma
-    r = hs.r
-    right_side = g2_right_side(hs)
-    half_l = 0.5 * l
-    s_grid = model.horizon.grid().tolist()  # same spacing forward in s as the t grid
-    exp = math.exp
-    low, high = -BLOWUP_THRESHOLD, BLOWUP_THRESHOLD
-    blown = False  # once set, the checks after the step raise
-
-    def at(s):
-        # e^{-rs} discounts pi_bar to pi_hat; g1(T - s) = -gamma e^{rs} stays
-        # inline: g1_closed(T - s) would round T - (T - s) differently and
-        # add a numpy call per atom and step
-        growth = exp(r * s)
-        g1 = []  # plain loops: before Python 3.12 a comprehension is a call of its own
-        for ng in neg_gammas:
-            g1.append(ng * growth)
-        return exp(-r * s), g1
-
-    h = [0.0] * n
-    flat = list(h)  # every step's state, one after another
-    decay, g1 = at(s_grid[0])
-    for s in s_grid[1:]:
-        decay_next, g1_next = at(s)
-        pi_hat = pi_bar(hs, e_gamma, weighted(h)) * decay
-        f0, pred = [], []  # slopes at s_m and the predictor's Euler step
-        for g, hi in zip(g1, h):
-            f = right_side(pi_hat * g, hi)
-            f0.append(f)
-            pred.append(hi + l * f)
-        pi_hat = pi_bar(hs, e_gamma, weighted(pred)) * decay_next
-        h_next = []
-        for g, hi, p, f in zip(g1_next, h, pred, f0):
-            x = hi + half_l * (f + right_side(pi_hat * g, p))
-            h_next.append(x)
-            if not low <= x <= high:  # nan fails too
-                blown = True
-        h = h_next
-        if blown:
-            step = len(flat) // n
-            if not all(map(math.isfinite, h)):
-                raise BlowUpError(step, float("inf"))
-            raise BlowUpError(step, max(map(abs, h)))
-        flat += h
-        decay, g1 = decay_next, g1_next
-    return np.ascontiguousarray(np.array(flat).reshape(-1, n).T[:, ::-1])  # g2(t_m) = h2(T - t_m)
+    hs, hz, dist = model.heston, model.horizon, model.dist
+    integrate = _g2_integrator(dist.n)
+    flat = integrate(*[-float(g) for g in dist.gammas], *map(float, dist.probs), **_constants(hs),
+                     mean_gamma=model.mean_gamma, r=hs.r, l=hz.l, half_l=0.5 * hz.l,
+                     s_grid=hz.grid().tolist())  # same spacing forward in s as the t grid
+    return np.ascontiguousarray(np.array(flat).reshape(-1, dist.n).T[:, ::-1])  # g2(t_m) = h2(T - t_m)
 
 
 def solve_g3(model: ValidatedModel, g1, g2) -> np.ndarray:

@@ -14,7 +14,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .model import ValidatedModel
-# pi_bar_path and pi_hat_path live in odes beside pi_bar; re-exported here
+# pi_bar_path and pi_hat_path live in odes beside the g2 formulas; re-exported here
 from .odes import GSolution, pi_bar_path, pi_hat_path, q_hat, retention_ratio
 
 REGIME_REINSURANCE = "Reinsurance"
