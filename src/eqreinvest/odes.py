@@ -112,6 +112,7 @@ def q_hat(model: ValidatedModel, t):
 # out inline for the model's atom count
 PI_BAR = "(xi + rs * {w}) / mean_gamma"
 RIGHT_SIDE = "xi * {pg} + 0.5 * ({pg} * {pg}) - kappa * {h} + half_s2 * ({h} * {h}) + rs * {pg} * {h}"
+_compiled = functools.cache(lambda source: compile(source, "<eqreinvest formula>", "eval"))
 
 
 def _constants(heston: HestonParams):
@@ -124,7 +125,7 @@ def pi_bar_path(model: ValidatedModel, g2) -> np.ndarray:
     """Undiscounted investment kernel pi_bar = (xi + rho*sigma*sum_j p_j g2_j) / E[gamma]
     on the grid, from g2 alone; pi_hat(t) = pi_bar(t) * e^{-r(T-t)}."""
     weighted_g2 = np.asarray(model.dist.probs) @ g2
-    return eval(PI_BAR.format(w="w"), {**_constants(model.heston), "mean_gamma": model.mean_gamma,
+    return eval(_compiled(PI_BAR.format(w="w")), {**_constants(model.heston), "mean_gamma": model.mean_gamma,
                                        "w": weighted_g2})
 
 
@@ -140,7 +141,7 @@ def g2_right_side(heston: HestonParams):
     pg is pi_hat * g1 of the atom and h its g2; both may be floats or
     arrays. The atoms couple only through pi_hat (see PI_BAR).
     """
-    return eval(f"lambda pg, h: {RIGHT_SIDE.format(pg='pg', h='h')}", _constants(heston))
+    return eval(_compiled(f"lambda pg, h: {RIGHT_SIDE.format(pg='pg', h='h')}"), _constants(heston))
 
 
 @functools.cache
