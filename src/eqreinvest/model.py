@@ -65,17 +65,17 @@ def weighted_sum(values, weights):
     order from +0.0: acc = fma(v_i, w_i, acc), written out for the number
     of values and compiled once per number.
 
-    OpenBLAS's SkylakeX ddot rounds the same for up to 15 atoms, but its
-    Haswell kernel differs in 17-37% of random draws, so the sum is defined
-    here and not by the BLAS. Python has no fma before 3.13, so each step
-    is emulated exactly: Dekker's two-product gives v_i w_i as prod + err
-    without rounding, and math.fsum rounds prod + err + acc correctly. The
-    emulation is exact while no |v_i| or |w_i| exceeds about 1e300 (the
-    split would overflow) and no nonzero product falls below about 1e-290
-    (err would not be representable). Since acc starts at +0.0, an exact
-    zero sum is +0.0, as fsum returns it. Outside the domain the sum can
-    differ from fma's but does not raise: a non-finite or overflowing step
-    is a plain add.
+    OpenBLAS's SkylakeX ddot rounded the same in 4000 of 4000 random draws
+    for each of 2, 3, 4, 6 and 15 atoms, but its Haswell kernel differs in
+    17-37% of them, so the sum is defined here and not by the BLAS. Python
+    has no fma before 3.13, so each step is emulated exactly: Dekker's
+    two-product gives v_i w_i as prod + err without rounding, and math.fsum
+    rounds prod + err + acc correctly. The emulation is exact while no
+    |v_i| or |w_i| exceeds about 1e300 (the split would overflow) and no
+    nonzero product falls below about 1e-290 (err would not be
+    representable). Since acc starts at +0.0, an exact zero sum is +0.0, as
+    fsum returns it. Outside the domain the sum can differ from fma's but
+    does not raise: a non-finite or overflowing step is a plain add.
     """
     if len(values) != len(weights):
         raise ValueError(f"values and weights differ in length: {len(values)} vs {len(weights)}")

@@ -1,11 +1,15 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import eqreinvest
 from eqreinvest import BlowUpError, RiccatiConstants, solve_g
 from eqreinvest.model import AversionDistribution, HestonParams, Horizon, validate_config
 from eqreinvest.odes import (
@@ -220,6 +224,25 @@ def test_blow_up_step_and_value_match_pins(n, T, M, overrides):
     with pytest.raises(BlowUpError) as exc:
         solve_g2_coupled(m)
     assert (exc.value.step, exc.value.value) == BLOW_UPS[(n, T, M, overrides)]
+
+
+def test_g2_step_is_compiled_on_the_first_solve_for_its_atom_count():
+    """Importing the CLI compiles no step, so start-up does not pay for it,
+    and two solves with one atom count compile one; a fresh interpreter,
+    since other tests have compiled steps in this one."""
+    code = """if True:
+        import eqreinvest.cli
+        from eqreinvest import odes
+        from eqreinvest.presets import baseline_model
+        assert odes._g2_integrator.cache_info().currsize == 0
+        for case in ("caseI", "caseII"):
+            odes.solve_g2_coupled(baseline_model(case, T=1.0, M=10))
+        info = odes._g2_integrator.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 1), info
+    """
+    src = os.path.dirname(os.path.dirname(eqreinvest.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_minimal_grid_runs():
