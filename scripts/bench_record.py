@@ -10,8 +10,15 @@ TRACE_SEEDS with ``--trace 1`` (per-layer metrics). The two sides
 alternate which runs first from one seed to the next. The record holds each metric's runs,
 median and quartiles per side, the count of seeds on which the head was
 better, every run's correctness and failure counts, and the machine: CPU
-model, usable cores, OpenBLAS core type, and the Python and numpy
-versions. Runs are sequential; nothing else should run meanwhile.
+model, usable cores, OpenBLAS core type, numpy's enabled dispatch targets,
+and the Python and numpy versions.
+
+Ten ``setup_s`` samples a side do not resolve its bound on a noisy
+machine, so each workload also gets a set-up series: SETUP_PAIRS
+alternating fresh-interpreter runs of each side's unchanged
+``perfbench/probe.py`` on the configs its ``perfbench/jobs.py`` writes at
+the first seed, timed as ``perfbench/run.py`` times a sample. Runs are
+sequential; nothing else should run meanwhile.
 """
 
 from __future__ import annotations
@@ -26,9 +33,14 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 
 SEEDS = [7, 71, 72, 73, 74, 75, 76, 77, 78, 79]  # ten pairs per workload, as a claimed gain needs
 TRACE_SEEDS = [7, 71, 72]
+SETUP_PAIRS = 30  # set-up probes per side and workload, alternating sides
+# the config files perfbench/jobs.py writes for a workload and seed, as JSON
+_CONFIGS = ("import json, sys, jobs; print(json.dumps(sorted({c for job in "
+            "jobs.build(sys.argv[1], int(sys.argv[2]), sys.argv[3]) for c in job.configs})))")
 
 
 def _export(rev, dest):
@@ -50,6 +62,39 @@ def _run(root, workload, seed, seconds, trace):
 def _summary(values):
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
+
+
+def _setup_series(roots, workload, seed, scratch):
+    """Set-up times of SETUP_PAIRS fresh interpreters a side, alternating
+    sides and which side goes first, each running its side's probe.py as
+    perfbench/run.py does (OPENBLAS_NUM_THREADS=1, src/ on PYTHONPATH)."""
+    probes = {}
+    for side, root in roots.items():
+        dest = os.path.join(scratch, side)
+        os.makedirs(dest)
+        configs = json.loads(subprocess.run([sys.executable, "-c", _CONFIGS, workload, str(seed), dest],
+                                            cwd=os.path.join(root, "perfbench"), capture_output=True,
+                                            text=True, check=True).stdout)
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), OPENBLAS_NUM_THREADS="1")
+        probes[side] = ([sys.executable, os.path.join(root, "perfbench", "probe.py"), *configs], env)
+    times = {"base": [], "head": []}
+    for k in range(SETUP_PAIRS):
+        for side in ("base", "head") if k % 2 == 0 else ("head", "base"):
+            argv, env = probes[side]
+            t0 = time.perf_counter()
+            subprocess.run(argv, cwd=roots[side], env=env, stdout=subprocess.DEVNULL, check=True)
+            times[side].append(time.perf_counter() - t0)
+    wins = sum(h < b for b, h in zip(times["base"], times["head"]))
+    return {"unit": "s", "better": "lower", "head_better_on": wins, "pairs": SETUP_PAIRS, "seed": seed,
+            "base": _summary(times["base"]), "head": _summary(times["head"])}
+
+
+def _numpy_dispatch():
+    """numpy's enabled SIMD dispatch targets (X86_V4 and AVX512_* are its
+    AVX-512 kernels)."""
+    from numpy._core import _multiarray_umath as umath
+
+    return [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
 
 
 def _openblas_core():
@@ -78,7 +123,8 @@ def _machine():
                 cpu = line.split(":", 1)[1].strip()
                 break
     return {"cpu": cpu, "cores": len(os.sched_getaffinity(0)), "openblas_core": _openblas_core(),
-            "python": platform.python_version(), "numpy": numpy.__version__}
+            "numpy_dispatch": _numpy_dispatch(), "python": platform.python_version(),
+            "numpy": numpy.__version__}
 
 
 def main(argv=None):
@@ -92,8 +138,9 @@ def main(argv=None):
     better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
     seconds = bench["run_seconds"]
     record = {"machine": _machine(), "seconds": seconds, "seeds": SEEDS, "trace_seeds": TRACE_SEEDS,
-              "workloads": {}}
-    with tempfile.TemporaryDirectory() as base_dir, tempfile.TemporaryDirectory() as head_dir:
+              "setup_pairs": SETUP_PAIRS, "workloads": {}}
+    with tempfile.TemporaryDirectory() as base_dir, tempfile.TemporaryDirectory() as head_dir, \
+            tempfile.TemporaryDirectory() as config_dir:
         roots = {"base": base_dir, "head": head_dir}
         record["base"], record["head"] = _export(args.base, base_dir), _export("HEAD", head_dir)
         for w in bench["workloads"]:
@@ -117,7 +164,9 @@ def main(argv=None):
                 metrics["per_layer" if trace else "end_to_end"][name] = {
                     "unit": units[name], "better": better.get(name), "head_better_on": wins,
                     "pairs": len(sides["base"]), "base": _summary(sides["base"]), "head": _summary(sides["head"])}
-            record["workloads"][w["name"]] = {**metrics, "runs": runs}
+            series = _setup_series(roots, w["name"], SEEDS[0], os.path.join(config_dir, w["name"]))
+            print(f"{w['name']} set-up series: {json.dumps(series)}", file=sys.stderr)
+            record["workloads"][w["name"]] = {**metrics, "setup_series": series, "runs": runs}
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")

@@ -7,13 +7,11 @@ __version__ = "0.1.0"
 
 from .model import (
     AversionDistribution,
-    DiffusionCoefficients,
     Horizon,
     HestonParams,
     InsuranceParams,
     ValidatedModel,
     ValidationError,
-    derive_diffusion,
     validate_config,
     weighted_sum,
 )

@@ -1,7 +1,11 @@
-"""Validated market inputs and derived diffusion coefficients.
+"""Validated market inputs.
 
 All types are frozen dataclasses: a validated model can be shared freely
 across workers and re-validation of the same inputs is byte-identical.
+InsuranceParams derives the diffusion approximation of the surplus from
+its own fields, dX = drift(q) dt + b q dW0 with drift(q) = a eta + a eta2 q,
+a = lambda1 mu1, b = sqrt(lambda1 mu2) and eta = eta1 - eta2 <= 0, so a
+model made with dataclasses.replace never carries stale scales.
 """
 
 from __future__ import annotations
@@ -123,15 +127,25 @@ class InsuranceParams:
             v.append(f"mu2 must be >= mu1^2, got mu2={self.mu2} < {self.mu1 * self.mu1}")
         return v
 
+    @property
+    def a(self):
+        """Drift scale of the surplus approximation, lambda1 * mu1."""
+        return self.lambda1 * self.mu1
 
-@dataclass(frozen=True)
-class DiffusionCoefficients:
-    """Diffusion approximation of the surplus: drift scale a, noise scale b,
-    loading gap eta = eta1 - eta2 <= 0."""
+    @property
+    def b(self):
+        """Noise scale of the surplus approximation, sqrt(lambda1 * mu2)."""
+        return math.sqrt(self.lambda1 * self.mu2)
 
-    a: float
-    b: float
-    eta: float
+    @property
+    def eta(self):
+        """Loading gap eta1 - eta2, <= 0 on valid inputs."""
+        return self.eta1 - self.eta2
+
+    def drift(self, q):
+        """Surplus drift a*eta + a*eta2*q at retained proportion q (a number or array)."""
+        a, eta, eta2 = self.a, self.eta, self.eta2
+        return a * eta + a * eta2 * q
 
 
 @dataclass(frozen=True)
@@ -240,30 +254,16 @@ class Horizon:
 
 @dataclass(frozen=True)
 class ValidatedModel:
-    """Immutable bundle of validated inputs plus derived diffusion scales."""
+    """Immutable bundle of validated inputs."""
 
     ins: InsuranceParams
     heston: HestonParams
     dist: AversionDistribution
     horizon: Horizon
-    diffusion: DiffusionCoefficients
 
     @property
     def mean_gamma(self):
         return self.dist.mean
-
-
-def derive_diffusion(ins: InsuranceParams) -> DiffusionCoefficients:
-    """Diffusion scales of the surplus approximation: a = lambda1*mu1,
-    b = sqrt(lambda1*mu2), eta = eta1 - eta2."""
-    bad = ins.violations()
-    if bad:
-        raise ValidationError(bad)
-    return DiffusionCoefficients(
-        a=ins.lambda1 * ins.mu1,
-        b=math.sqrt(ins.lambda1 * ins.mu2),
-        eta=ins.eta1 - ins.eta2,
-    )
 
 
 def _non_finite(ins, heston, dist, horizon):
@@ -323,10 +323,4 @@ def validate_config(ins, heston, dist, horizon) -> ValidatedModel:
         violations += [too_big] if too_big else []
     if violations:
         raise ValidationError(violations)
-    return ValidatedModel(
-        ins=ins,
-        heston=heston,
-        dist=dist,
-        horizon=horizon,
-        diffusion=derive_diffusion(ins),
-    )
+    return ValidatedModel(ins=ins, heston=heston, dist=dist, horizon=horizon)

@@ -52,19 +52,14 @@ class SimulationError(RuntimeError):
 
 @dataclass
 class PathBatch:
-    """Simulated wealth/variance paths.
-
-    Full (n_paths, M+1) state histories are kept only when requested via
-    record_full; terminal values and the running variance minimum are
-    always available. Recorded variance is the truncated (nonnegative)
-    process.
+    """Terminal wealth and variance of simulated paths, and the lowest
+    variance any path reached. Recorded variance is the truncated
+    (nonnegative) process.
     """
 
     x_terminal: np.ndarray
     v_terminal: np.ndarray
     min_v: float
-    x_paths: Optional[np.ndarray] = None
-    v_paths: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -113,7 +108,6 @@ def simulate_paths(
     strategy: tuple,
     n_paths: int,
     seed: int,
-    record_full: bool = False,
     workers: Optional[int] = None,
 ) -> PathBatch:
     """Simulate n_paths of (wealth, variance) under the given strategy.
@@ -124,7 +118,7 @@ def simulate_paths(
     ValueError. Identical (model, strategy, n_paths, seed) give a
     bit-identical batch, whatever the number of workers.
     """
-    return simulate_strategies(model, [strategy], n_paths, seed, record_full, workers)[0]
+    return simulate_strategies(model, [strategy], n_paths, seed, workers)[0]
 
 
 def simulate_strategies(
@@ -132,7 +126,6 @@ def simulate_strategies(
     strategies: Sequence[tuple],
     n_paths: int,
     seed: int,
-    record_full: bool = False,
     workers: Optional[int] = None,
 ) -> List[PathBatch]:
     """Simulate n_paths under each strategy on common random numbers.
@@ -140,7 +133,7 @@ def simulate_strategies(
     One pass: every chunk draws its normals once per step and advances the
     variance once; only wealth is a (K, chunk) array. Batch k is
     bit-identical to simulate_paths(model, strategies[k], n_paths, seed),
-    and all K batches share one v_terminal (and v_paths) array. A
+    and all K batches share one v_terminal array. A
     non-finite state raises SimulationError at its step; a path counts as
     bad when any strategy's state on it is non-finite.
 
@@ -154,15 +147,13 @@ def simulate_strategies(
         raise ValueError("n_paths must be >= 1")
     n_chunks = -(-n_paths // CHUNK_SIZE)
     w = worker_count(n_chunks, workers)
-    hs, hz = model.heston, model.horizon
-    d = model.diffusion
+    hs, hz, ins = model.heston, model.horizon, model.ins
     M, l = hz.M, hz.l
     K = len(strategies)
     qs, ps = (np.array([_left_ends(c, M) for c in cs]) for cs in zip(*strategies))
-    # per-step (K, 1) columns: the constant drift a*eta + a*eta2*q, the
-    # claim-noise scale b*q, and pi
-    drift0 = np.ascontiguousarray((d.a * d.eta + d.a * model.ins.eta2 * qs).T[:, :, None])
-    noise_q = np.ascontiguousarray((d.b * qs).T[:, :, None])
+    # per-step (K, 1) columns: the constant drift, the claim-noise scale b*q, and pi
+    drift0 = np.ascontiguousarray(ins.drift(qs).T[:, :, None])
+    noise_q = np.ascontiguousarray((ins.b * qs).T[:, :, None])
     pis = np.ascontiguousarray(ps.T[:, :, None])
     sqrt_l = math.sqrt(l)
     er = math.exp(hs.r * l)
@@ -171,8 +162,6 @@ def simulate_strategies(
 
     x_terminal = [np.empty(n_paths) for _ in range(K)]
     v_terminal = np.empty(n_paths)
-    x_paths = [np.empty((n_paths, M + 1)) for _ in range(K)] if record_full else [None] * K
-    v_paths = np.empty((n_paths, M + 1)) if record_full else None
 
     def run_chunk(chunk_index, buffers):
         """Advance one chunk on a worker's buffers, write its slices of the
@@ -193,10 +182,6 @@ def simulate_strategies(
         v.fill(hs.v0)
         np.maximum(v, 0.0, out=v_plus)
         lowest.fill(math.inf)
-        if record_full:
-            for xp in x_paths:
-                xp[start:stop, 0] = hz.x0
-            v_paths[start:stop, 0] = v
         # Each update keeps the operation order of the scalar expressions
         #   x <- x e^{rl} + (a eta + a eta2 q + xi v+ pi) growth + b q dw0 + pi sqrt(v+) dw1
         #   v <- v + kappa (theta - v+) l + sigma sqrt(v+) dw2
@@ -234,10 +219,6 @@ def simulate_strategies(
                 raise SimulationError(m + 1, int(np.count_nonzero(bad)))
             np.maximum(v, 0.0, out=v_plus)
             np.minimum(lowest, v_plus, out=lowest)
-            if record_full:
-                for xp, xk in zip(x_paths, x):
-                    xp[start:stop, m + 1] = xk
-                v_paths[start:stop, m + 1] = v_plus
         for xt, xk in zip(x_terminal, x):
             xt[start:stop] = xk
         v_terminal[start:stop] = v_plus
@@ -279,8 +260,7 @@ def simulate_strategies(
         raise errors[min(errors)]
     min_v = min(minima)
 
-    return [PathBatch(x_terminal=xt, v_terminal=v_terminal, min_v=min_v, x_paths=xp, v_paths=v_paths)
-            for xt, xp in zip(x_terminal, x_paths)]
+    return [PathBatch(x_terminal=xt, v_terminal=v_terminal, min_v=min_v) for xt in x_terminal]
 
 
 def estimate_reward(model: ValidatedModel, batch: PathBatch) -> SimulationResult:

@@ -78,7 +78,10 @@ def g2_closed_single(t, heston: HestonParams, T):
     """Closed-form g2 for a single aversion atom; independent of gamma.
 
     The generic formula needs k3 > 0; at |rho| = 1 the quadratic term
-    drops out and the linear-ODE limit is evaluated instead.
+    drops out and the linear-ODE limit is evaluated instead. The generic
+    form k1 (e^{k4 tau} - 1) / (2 k4 + (k2 + k4)(e^{k4 tau} - 1)) is
+    evaluated divided through by e^{k4 tau}, so nothing overflows at a
+    large k4 tau and g2 tends to k1 / (k2 + k4) there.
     """
     k = RiccatiConstants.from_heston(heston)
     tau = T - np.asarray(t, dtype=float)
@@ -86,8 +89,7 @@ def g2_closed_single(t, heston: HestonParams, T):
         if k.k2 == 0.0:
             return 0.5 * k.k1 * tau
         return (k.k1 / (2.0 * k.k2)) * (1.0 - np.exp(-k.k2 * tau))
-    e = np.expm1(k.k4 * tau)
-    return k.k1 * e / (2.0 * k.k4 + (k.k2 + k.k4) * e)
+    return k.k1 * -np.expm1(-k.k4 * tau) / ((k.k2 + k.k4) + (k.k4 - k.k2) * np.exp(-k.k4 * tau))
 
 
 def retention_ratio(model: ValidatedModel) -> float:
@@ -221,14 +223,11 @@ def solve_g3(model: ValidatedModel, g1, g2) -> np.ndarray:
     """
     if not np.all(np.isfinite(g2)):
         raise BlowUpError(-1, float("inf"))
-    d, hs = model.diffusion, model.heston
+    ins, hs = model.ins, model.heston
     grid = model.horizon.grid()
     q = q_hat(model, grid)
-    integrand = (
-        (d.a * d.eta + d.a * model.ins.eta2 * q) * g1
-        + 0.5 * d.b ** 2 * q ** 2 * g1 ** 2
-        + hs.kappa * hs.theta * g2
-    )
+    # b ** 2 is the square of the rounded sqrt(lambda1 mu2), not lambda1 mu2: last bits follow it
+    integrand = ins.drift(q) * g1 + 0.5 * ins.b ** 2 * q ** 2 * g1 ** 2 + hs.kappa * hs.theta * g2
     dt = np.diff(grid)
     seg = 0.5 * (integrand[:, 1:] + integrand[:, :-1]) * dt
     g3 = np.zeros_like(g1)
@@ -273,14 +272,14 @@ def g3_closed_single(t, model: ValidatedModel):
     """
     if model.dist.n != 1:
         raise ValueError("closed-form g3 requires exactly one aversion atom")
-    d, hs = model.diffusion, model.heston
+    ins, hs = model.ins, model.heston
     gamma = model.dist.gammas[0]
     k = RiccatiConstants.from_heston(hs)
     tau = model.horizon.T - np.asarray(t, dtype=float)
     e = np.expm1(k.k4 * tau)
     log_term = np.log(2.0 * k.k4 * np.exp(0.5 * (k.k2 + k.k4) * tau) / (2.0 * k.k4 + (k.k2 + k.k4) * e))
     return (
-        -0.5 * (d.a ** 2 * model.ins.eta2 ** 2 / d.b ** 2) * tau
-        + (d.a * d.eta * gamma / hs.r) * (1.0 - np.exp(hs.r * tau))
+        -0.5 * (ins.a ** 2 * ins.eta2 ** 2 / ins.b ** 2) * tau
+        + (ins.a * ins.eta * gamma / hs.r) * (1.0 - np.exp(hs.r * tau))
         + (2.0 * hs.kappa * hs.theta / k.k3) * log_term
     )

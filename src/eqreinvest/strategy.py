@@ -190,9 +190,7 @@ def sensitivity_signs(model: ValidatedModel, t) -> SensitivityReport:
     derivs = {}
     signs = {}
     for name in _EXPECTED_SIGNS:
-        # q_hat reads only the model's insurance moments, r and E[gamma], so
-        # the perturbed models need no re-derived diffusion; the claim
-        # intensity cancels in retention_ratio, so a lambda1 step gives 0 exactly
+        # the claim intensity cancels in retention_ratio, so a lambda1 step gives 0 exactly
         part = "heston" if name == "r" else "ins"
         params = getattr(model, part)
         base = getattr(params, name)

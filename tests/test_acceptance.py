@@ -241,9 +241,9 @@ def test_criterion_08_monte_carlo_sanity(report):
 
     # (i) zero strategy reproduces the deterministic wealth ODE
     m = baseline_model("caseI", T=10.0)
-    hz, hs, d = m.horizon, m.heston, m.diffusion
+    hz, hs, ins = m.horizon, m.heston, m.ins
     batch = simulate_paths(m, (0.0, 0.0), n_paths=64, seed=101)
-    expected = hz.x0 * math.exp(hs.r * hz.T) + (d.a * d.eta / hs.r) * (math.exp(hs.r * hz.T) - 1.0)
+    expected = hz.x0 * math.exp(hs.r * hz.T) + (ins.a * ins.eta / hs.r) * (math.exp(hs.r * hz.T) - 1.0)
     dev_wealth = float(np.max(np.abs(batch.x_terminal - expected)) / abs(expected))
     ok_wealth = dev_wealth <= 1e-10
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -12,7 +13,6 @@ from eqreinvest import (
     HestonParams,
     InsuranceParams,
     ValidationError,
-    derive_diffusion,
     validate_config,
     weighted_sum,
 )
@@ -20,53 +20,61 @@ from eqreinvest import model as model_module
 from eqreinvest.presets import BASE_HESTON, BASE_INSURANCE, CASE_I, CASE_II
 
 
-def test_derive_diffusion_table1():
-    d = derive_diffusion(BASE_INSURANCE)
-    assert d.a == pytest.approx(0.1, abs=0)
-    assert d.b == pytest.approx(math.sqrt(0.2), rel=1e-15)
-    assert d.eta == pytest.approx(-0.2, rel=1e-15)
+def test_surplus_scales_table1():
+    ins = BASE_INSURANCE
+    assert ins.a == pytest.approx(0.1, abs=0)
+    assert ins.b == pytest.approx(math.sqrt(0.2), rel=1e-15)
+    assert ins.eta == pytest.approx(-0.2, rel=1e-15)
 
 
-def test_derive_diffusion_identity_scale():
-    d = derive_diffusion(InsuranceParams(eta1=0.0, eta2=0.0, lambda1=1.0, mu1=1.0, mu2=1.0))
-    assert (d.a, d.b, d.eta) == (1.0, 1.0, 0.0)
+def test_surplus_scales_identity():
+    ins = InsuranceParams(eta1=0.0, eta2=0.0, lambda1=1.0, mu1=1.0, mu2=1.0)
+    assert (ins.a, ins.b, ins.eta) == (1.0, 1.0, 0.0)
 
 
-def test_derive_diffusion_scaled_intensity():
+def test_surplus_scales_scaled_intensity():
     # direct arithmetic: a = lambda*mu1, b = sqrt(lambda*mu2)
-    d = derive_diffusion(InsuranceParams(eta1=0.3, eta2=0.5, lambda1=4.0, mu1=0.1, mu2=0.2))
-    assert d.a == pytest.approx(0.4, rel=1e-15)
-    assert d.b == pytest.approx(math.sqrt(0.8), rel=1e-15)
-    assert d.eta == pytest.approx(-0.2, rel=1e-15)
+    ins = InsuranceParams(eta1=0.3, eta2=0.5, lambda1=4.0, mu1=0.1, mu2=0.2)
+    assert ins.a == pytest.approx(0.4, rel=1e-15)
+    assert ins.b == pytest.approx(math.sqrt(0.8), rel=1e-15)
+    assert ins.eta == pytest.approx(-0.2, rel=1e-15)
 
 
 @pytest.mark.parametrize("c", [0.5, 2.0, 7.0])
-def test_derive_diffusion_scale_consistency(c):
-    base = derive_diffusion(BASE_INSURANCE)
-    scaled = derive_diffusion(
-        InsuranceParams(
-            eta1=BASE_INSURANCE.eta1,
-            eta2=BASE_INSURANCE.eta2,
-            lambda1=BASE_INSURANCE.lambda1 * c,
-            mu1=BASE_INSURANCE.mu1,
-            mu2=BASE_INSURANCE.mu2,
-        )
-    )
+def test_surplus_scale_consistency(c):
+    base = BASE_INSURANCE
+    scaled = dataclasses.replace(base, lambda1=base.lambda1 * c)
     assert scaled.a == pytest.approx(base.a * c, rel=1e-13)
     assert scaled.b == pytest.approx(base.b * math.sqrt(c), rel=1e-13)
     assert scaled.a / scaled.b ** 2 == pytest.approx(base.a / base.b ** 2, rel=1e-13)
 
 
-def test_derive_diffusion_rejects_loading_arbitrage():
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(1e-3, 1e3), st.floats(1e-3, 10.0),
+       st.floats(1.0, 10.0), st.floats(0.0, 1.0))
+def test_surplus_scales_are_the_expressions_of_the_fields(eta1, gap, lambda1, mu1, ratio, q):
+    """a, b, eta and drift(q) are the same float expressions of the fields,
+    also on a copy made with dataclasses.replace."""
+    ins = dataclasses.replace(BASE_INSURANCE, eta1=eta1, eta2=eta1 + gap, lambda1=lambda1, mu1=mu1,
+                              mu2=mu1 * mu1 * ratio)
+    assert ins.a == lambda1 * mu1
+    assert ins.b == math.sqrt(lambda1 * ins.mu2)
+    assert ins.eta == eta1 - (eta1 + gap)
+    assert ins.drift(q) == ins.a * ins.eta + ins.a * ins.eta2 * q
+    qs = np.array([q, 0.5 * q])
+    assert np.array_equal(ins.drift(qs), ins.a * ins.eta + ins.a * ins.eta2 * qs)
+
+
+def test_validate_config_rejects_loading_arbitrage():
     bad = InsuranceParams(eta1=0.5, eta2=0.3, lambda1=1.0, mu1=0.1, mu2=0.2)
     with pytest.raises(ValidationError, match="eta2"):
-        derive_diffusion(bad)
+        validate_config(bad, BASE_HESTON, CASE_I, Horizon(T=10.0, M=100))
 
 
 def test_validate_config_accepts_table1_case1():
     m = validate_config(BASE_INSURANCE, BASE_HESTON, CASE_I, Horizon(T=10.0, M=10000))
     assert m.mean_gamma == pytest.approx(2.25)
-    assert m.diffusion.a == pytest.approx(0.1)
+    assert m.ins.a == pytest.approx(0.1)
 
 
 def test_validate_config_rejects_feller_violation():

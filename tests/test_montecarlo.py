@@ -58,30 +58,20 @@ def test_chunking_invariance(small_model):
 def test_zero_strategy_wealth_deterministic(small_model):
     """With q = pi = 0 the wealth ODE is linear and the exact-rate scheme
     reproduces its solution to machine precision."""
-    hz, hs, d = small_model.horizon, small_model.heston, small_model.diffusion
+    hz, hs, ins = small_model.horizon, small_model.heston, small_model.ins
     batch = simulate_paths(small_model, (0.0, 0.0), n_paths=64, seed=1)
-    expected = hz.x0 * math.exp(hs.r * hz.T) + (d.a * d.eta / hs.r) * (math.exp(hs.r * hz.T) - 1.0)
+    expected = hz.x0 * math.exp(hs.r * hz.T) + (ins.a * ins.eta / hs.r) * (math.exp(hs.r * hz.T) - 1.0)
     assert np.max(np.abs(batch.x_terminal - expected)) <= 1e-10 * abs(expected)
 
 
 def test_variance_nonnegative_and_mean_reverting(small_model):
-    batch = simulate_paths(small_model, (0.0, 0.0), n_paths=20000, seed=11, record_full=True)
+    batch = simulate_paths(small_model, (0.0, 0.0), n_paths=20000, seed=11)
     assert batch.min_v >= 0.0
-    assert np.all(batch.v_paths >= 0.0)
+    assert np.all(batch.v_terminal >= 0.0)
     # E[v_T] for the square-root process started at theta stays at theta
     mean_v = float(np.mean(batch.v_terminal))
     se = float(np.std(batch.v_terminal, ddof=1) / math.sqrt(len(batch.v_terminal)))
     assert abs(mean_v - small_model.heston.theta) < 4.0 * se + 1e-4
-
-
-def test_full_record_shapes(small_model):
-    batch = simulate_paths(small_model, (0.0, 0.0), n_paths=10, seed=2, record_full=True)
-    M = small_model.horizon.M
-    assert batch.x_paths.shape == (10, M + 1)
-    assert batch.v_paths.shape == (10, M + 1)
-    assert np.all(batch.x_paths[:, 0] == small_model.horizon.x0)
-    assert np.all(batch.v_paths[:, 0] == small_model.heston.v0)
-    assert np.array_equal(batch.x_paths[:, -1], batch.x_terminal)
 
 
 def test_constant_strategy_spec(small_model):
@@ -227,27 +217,24 @@ def test_spot_check_equilibrium_not_beaten():
 
 
 def _same_batch(a, b):
-    for name in ("x_terminal", "v_terminal", "x_paths", "v_paths"):
-        x, y = getattr(a, name), getattr(b, name)
-        assert (x is None) == (y is None), name
-        if x is not None:
-            assert x.tobytes() == y.tobytes(), name
+    for name in ("x_terminal", "v_terminal"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
     assert a.min_v == b.min_v
 
 
 def test_shared_pass_matches_single_runs_across_chunks():
     """Mixed strategy kinds over a chunk boundary: each batch of the shared
-    pass is byte-equal to its own single-strategy run, full records too."""
+    pass is byte-equal to its own single-strategy run."""
     from eqreinvest.odes import solve_g
 
     m = baseline_model("caseII", T=1.0, M=20)
     spath = equilibrium_strategy(m, solve_g(m).g2)
     strategies = [(spath.q_hat, spath.pi_hat), (0.0, 0.0), (0.3, 7 / 15)]
     n = CHUNK_SIZE + 5
-    shared = simulate_strategies(m, strategies, n, seed=12, record_full=True)
+    shared = simulate_strategies(m, strategies, n, seed=12)
     assert len(shared) == 3
     for strategy, batch in zip(strategies, shared):
-        _same_batch(batch, simulate_paths(m, strategy, n, seed=12, record_full=True))
+        _same_batch(batch, simulate_paths(m, strategy, n, seed=12))
 
 
 @settings(max_examples=25, deadline=None)
@@ -291,8 +278,8 @@ def test_workers_do_not_change_outputs(four_cores):
     strategies = [(spath.q_hat, spath.pi_hat), (0.0, 0.0), (0.3, 7 / 15)]
     n = 2 * CHUNK_SIZE + 5
     assert worker_count(3, 2) == 2
-    serial = simulate_strategies(m, strategies, n, seed=12, record_full=True, workers=1)
-    for a, b in zip(serial, simulate_strategies(m, strategies, n, seed=12, record_full=True, workers=2)):
+    serial = simulate_strategies(m, strategies, n, seed=12, workers=1)
+    for a, b in zip(serial, simulate_strategies(m, strategies, n, seed=12, workers=2)):
         _same_batch(a, b)
 
 
@@ -344,7 +331,6 @@ def test_worker_count_caps(four_cores):
 def test_workers_do_not_change_outputs_property(four_cores, n_paths, workers, M, seed):
     m = baseline_model("caseI", T=0.1, M=M)
     strategies = [(0.4, 0.9), (0.0, 0.0)]
-    serial = simulate_strategies(m, strategies, n_paths, seed, record_full=True, workers=1)
-    for a, b in zip(serial, simulate_strategies(m, strategies, n_paths, seed, record_full=True,
-                                                workers=workers)):
+    serial = simulate_strategies(m, strategies, n_paths, seed, workers=1)
+    for a, b in zip(serial, simulate_strategies(m, strategies, n_paths, seed, workers=workers)):
         _same_batch(a, b)

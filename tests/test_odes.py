@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -63,6 +64,22 @@ def test_g1_closed_terminal_and_discounting():
 
 def test_g2_closed_frozen_value():
     assert g2_closed_single(0.0, BASE_HESTON, T=10.0) == pytest.approx(G2_AT_0_T10, rel=1e-14)
+
+
+def test_g2_closed_is_finite_and_warning_free_past_exp_overflow():
+    """At k4 tau >= 710 e^{k4 tau} overflows; the closed form stays finite,
+    raises no numpy warning and sits at its limit k1 / (k2 + k4)."""
+    k = RiccatiConstants.from_heston(BASE_HESTON)
+    T = 200.0
+    t = np.linspace(0.0, T, 10001)
+    assert k.k4 * (T - t[0]) >= 710.0
+    with warnings.catch_warnings(), np.errstate(over="raise", divide="raise", invalid="raise"):
+        warnings.simplefilter("error")  # numpy's default errstate would warn
+        g2 = g2_closed_single(t, BASE_HESTON, T)
+    assert np.all(np.isfinite(g2))
+    deep = k.k4 * (T - t) >= 710.0
+    assert np.count_nonzero(deep) > 1000
+    assert np.allclose(g2[deep], k.k1 / (k.k2 + k.k4), rtol=1e-14, atol=0.0)
 
 
 def test_g2_closed_matches_fine_scalar_integration():
