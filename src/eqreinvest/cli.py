@@ -231,9 +231,10 @@ def run_sweep(model, param, values, observable):
     """Evaluate the observable over the parameter grid, one cell at a time.
 
     Returns (values, curves, label) for csvio.write_sweep_csv: the values
-    shown, one curve over the grid per value, and the observable's column
-    label. In pi_diff mode the first value is the baseline and the curves
-    are pi_hat(t; value) - pi_hat(t; baseline) for the remaining values.
+    shown, their curves over the grid as the rows of one array, and the
+    observable's column label. In pi_diff mode the first value is the
+    baseline and the curves are pi_hat(t; value) - pi_hat(t; baseline) for
+    the remaining values.
     """
     _params_holding(model, param)
     if observable not in ("q_hat", "pi_hat", "pi_diff"):
@@ -241,9 +242,12 @@ def run_sweep(model, param, values, observable):
     if observable == "pi_diff" and len(values) < 2:
         raise ConfigError(f"pi_diff needs a baseline and at least one more value, got {len(values)}")
     base_obs = "pi_hat" if observable == "pi_diff" else observable
-    curves = [_sweep_cell(model, param, v, base_obs) for v in values]
+    curves = np.empty((len(values), model.horizon.M + 1))
+    for row, v in zip(curves, values):
+        row[:] = _sweep_cell(model, param, v, base_obs)
     if observable == "pi_diff":
-        return values[1:], [curve - curves[0] for curve in curves[1:]], "pi_hat_diff"
+        curves[1:] -= curves[0]
+        return values[1:], curves[1:], "pi_hat_diff"
     return values, curves, observable
 
 

@@ -3,8 +3,9 @@
 
 Floats are printed as "%.17g" would print them, by fmt17: exact integer
 arithmetic in numpy, a column at a time. Every file is a table of
-write_table: its rows are (outer, inner) index pairs, its columns constants,
-values per outer or per inner index, or (outer, inner) arrays. Lines are
+write_table: its rows are (outer, inner) index pairs, its columns arrays
+whose shapes broadcast to (outer, inner): constants, values per inner
+index, values per outer index, or a value per row. Lines are
 built BLOCK_ROWS rows at a time, as write_csv reads them, from char matrices
 (one row of UTF-8 bytes per value, NUL-padded); a value shared by many rows
 (a grid time, an atom's gamma, a constant column) is formatted once."""
@@ -29,16 +30,17 @@ def fmt(value):
 #
 # A finite double x = m 2^e (m < 2^53) with decimal exponent E, 10^E <= |x| <
 # 10^(E+1), prints as the 17 digits of D = round-half-even(|x| 10^(16-E)).
-# For E in [FAST_MIN, FAST_MAX], k = 16 - E is in [1, 27], so 5^k < 2^64 and
-# |x| 10^k = m 5^k 2^(e+k) is an integer product of at most 116 bits, shifted.
+# For E in [FAST_MIN, FAST_MAX], k = 16 - E is in [2, 27], so 5^k < 2^64 and
+# |x| 10^k = m 5^k 2^(e+k) is an integer product of at most 116 bits shifted
+# right: 2^(e+k) = |x| 10^k / (m 5^k) < 10^17 / (2^52 5^2) < 1.
 # E is first taken from log10 and then decided on that exact product, since
 # log10 may round a value just below a power of ten up to it (the double
 # nearest 1e-06 prints as 9.9999999999999995e-07). The text is gathered from
 # the digits by a layout template chosen by sign, E and significant digits.
-# Every other value (zeros, nan, inf, subnormals, |x| < 1e-11, |x| >= 1e16)
+# Every other value (zeros, nan, inf, subnormals, |x| < 1e-11, |x| >= 1e15)
 # goes through "%.17g" itself.
 
-FAST_MIN, FAST_MAX = -11, 15
+FAST_MIN, FAST_MAX = -11, 14
 WIDTH = 24  # the longest "%.17g": -2.2250738585072014e-308
 _M32 = np.uint64(0xFFFFFFFF)
 _HALF = np.uint64(1 << 63)
@@ -92,7 +94,7 @@ def _layout(neg, E, keep):
 
 def _scaled(m, e, k, pow5):
     """(floor, round-half-even) of |x| 10^k = m 5^k 2^(e+k), exactly, for
-    k in [1, 27]; both fit in 64 bits where 10^(16-k) <= |x| < 10^(17-k)."""
+    k in [2, 27]; both fit in 64 bits where 10^(16-k) <= |x| < 10^(17-k)."""
     p = pow5[k]
     m0, m1 = m & _M32, m >> 32
     p0, p1 = p & _M32, p >> 32
@@ -100,16 +102,11 @@ def _scaled(m, e, k, pow5):
     mid = m0 * p1 + m1 * p0 + (a >> 32)  # below 2^63 + 2^53 + 2^32
     high = m1 * p1 + (mid >> 32)
     low = m * p  # m 5^k = high 2^64 + low; uint64 products wrap
-    s = -(e + k)  # |x| 10^k = (m 5^k) 2^-s, s in [-3, 62]
+    s = -(e + k)  # |x| 10^k = (m 5^k) 2^-s, s in [1, 62] on the exact path
     sr = np.clip(s, 1, 63).astype(np.uint64)
     floor = (high << (64 - sr)) | (low >> sr)
     dropped = low << (64 - sr)  # the bits shifted out, at the top: 2^63 is a half
     rounded = floor + ((dropped > _HALF) | ((dropped == _HALF) & (floor & 1).astype(bool)))
-    left = s <= 0
-    if left.any():  # |x| >= 2^51 (about 2.3e15): an exact left shift
-        exact = low << np.clip(-s, 0, 63).astype(np.uint64)
-        floor = np.where(left, exact, floor)
-        rounded = np.where(left, exact, rounded)
     return floor, rounded
 
 
@@ -152,7 +149,7 @@ def _decimal(x, pow5):
     (10^16 where not fast)."""
     bits = x.view(np.uint64)
     ax = np.abs(x)
-    fast = (ax >= 1e-11) & (ax < 1e16)  # E in [-12, 15]; nan fails both
+    fast = (ax >= 1e-11) & (ax < 1e15)  # E in [-12, 14]; nan fails both
     m = (bits & np.uint64((1 << 52) - 1)) | np.uint64(1 << 52)
     e = ((bits >> 52) & 0x7FF).astype(np.int64) - 1075
     with np.errstate(divide="ignore"):
@@ -205,16 +202,15 @@ def text_column(strings):
 
 
 def _chars(values):
-    """Char matrix of fmt of each value: fmt17 for a float array, the code
-    points themselves for an ASCII str array."""
-    if isinstance(values, np.ndarray):
-        if values.dtype.kind == "f" and values.itemsize <= 8:
-            return fmt17(values)
-        if values.dtype.kind == "U":
-            codes = np.ascontiguousarray(values).view(np.uint32).reshape(values.size, -1)
-            if codes.max(initial=0) < 128:  # UTF-8 of ASCII is its code point
-                return codes.astype(np.uint8)
-    return text_column([fmt(v) for v in values])
+    """Char matrix of fmt of each value of a 1-D array: fmt17 for floats,
+    the code points themselves for ASCII str, fmt of each value otherwise."""
+    if values.dtype.kind == "f":
+        return fmt17(values)
+    if values.dtype.kind == "U":
+        codes = np.ascontiguousarray(values).view(np.uint32).reshape(values.size, -1)
+        if codes.max(initial=0) < 128:  # UTF-8 of ASCII is its code point
+            return codes.astype(np.uint8)
+    return text_column([fmt(v) for v in values.tolist()])
 
 
 def _lines(n, fields):
@@ -233,43 +229,39 @@ def _lines(n, fields):
     return lines
 
 
-CONST, OUTER, INNER, CELL = "const", "outer", "inner", "cell"  # column kinds of write_table
-
-
-def _field(kind, values):
-    """field(i0, i1, j0, j1): the char matrix of a column over the rows of
-    outer indices [i0, i1) and inner indices [j0, j1). A constant and the
-    values per inner index, which every outer row shares, are formatted
-    once; the others a block at a time."""
-    if kind == CONST:
-        chars = _chars([values])
-        return lambda i0, i1, j0, j1: chars
-    if kind == OUTER:  # a block holds whole outer rows, or lies in one
-        return lambda i0, i1, j0, j1: np.repeat(_chars(values[i0:i1]), j1 - j0, axis=0)
-    if kind == INNER:
-        chars = _chars(values)
+def _field(values):
+    """field(i0, i1, j0, j1): the char matrix of a 2-D column (1 or outer
+    rows, 1 or inner columns) over the rows of outer indices [i0, i1) and
+    inner indices [j0, j1). A column that does not vary along outer is
+    formatted once; the others a block at a time."""
+    rows, cols = values.shape
+    if rows == 1:
+        chars = _chars(values[0])
+        if cols == 1:  # one row that every line shares
+            return lambda i0, i1, j0, j1: chars
         return lambda i0, i1, j0, j1: np.tile(chars[j0:j1], (i1 - i0, 1))
-    if isinstance(values, np.ndarray):
-        return lambda i0, i1, j0, j1: _chars(values[i0:i1, j0:j1])
-    return lambda i0, i1, j0, j1: _chars(values[i0][j0:j1])  # a block of one outer row
+    if cols == 1:  # a block holds whole outer rows, or lies in one
+        return lambda i0, i1, j0, j1: np.repeat(_chars(values[i0:i1, 0]), j1 - j0, axis=0)
+    return lambda i0, i1, j0, j1: _chars(values[i0:i1, j0:j1].ravel())
 
 
-def write_table(path, header, outer, inner, columns):
+def write_table(path, header, columns):
     """Write outer x inner rows, outer-major, through write_csv; a column
-    per header field, each a (kind, values) pair:
+    per header field, each an array whose shape is its layout:
 
-    (CONST, value)   one value for every row;
-    (OUTER, values)  a value per outer index;
-    (INNER, values)  a value per inner index;
-    (CELL, values)   an (outer, inner) array, or a sequence of outer rows
-                     of inner values, never stacked: each block then lies
-                     in one outer row (a sweep's cell).
+    ()              one value for every row;
+    (inner,)        a value per inner index;
+    (outer, 1)      a value per outer index;
+    (outer, inner)  a value per row.
 
-    Every value is printed by fmt (float arrays by fmt17). Lines are built
-    a block of at most BLOCK_ROWS rows at a time, as write_csv reads them."""
-    fields = [_field(kind, values) for kind, values in columns]
-    by_row = any(kind == CELL and not isinstance(values, np.ndarray) for kind, values in columns)
-    if inner <= BLOCK_ROWS and not by_row:
+    outer and inner are the broadcast of the shapes; columns that do not
+    broadcast raise ValueError before the file is opened. Every value is
+    printed by fmt (float arrays by fmt17). Lines are built a block of at
+    most BLOCK_ROWS rows at a time, as write_csv reads them."""
+    columns = [np.atleast_2d(c) for c in columns]
+    outer, inner = np.broadcast_shapes((1, 1), *(c.shape for c in columns))
+    fields = [_field(c) for c in columns]
+    if inner <= BLOCK_ROWS:
         step = BLOCK_ROWS // inner
         spans = [(i, min(i + step, outer), 0, inner) for i in range(0, outer, step)]
     else:
@@ -295,33 +287,29 @@ def write_csv(path, header, lines):
 
 def write_g_csv(path, model, gsol):
     """GSolution export: one row per (grid point, atom), time ascending."""
-    n = model.dist.n
-    write_table(path, ["t", "atom_index", "gamma", "g1", "g2", "g3"], len(gsol.grid), n, [
-        (OUTER, gsol.grid), (INNER, range(n)), (INNER, model.dist.gammas),
-        (CELL, gsol.g1.T), (CELL, gsol.g2.T), (CELL, gsol.g3.T)])
+    write_table(path, ["t", "atom_index", "gamma", "g1", "g2", "g3"], [
+        gsol.grid[:, None], np.arange(model.dist.n), model.dist.gammas, gsol.g1.T, gsol.g2.T, gsol.g3.T])
 
 
 def write_strategy_csv(path, spath):
     columns = (spath.grid, spath.q_hat, spath.pi_hat, spath.regime)
-    write_table(path, ["t", "q_hat", "pi_hat", "regime"], len(spath.grid), 1, [(OUTER, c) for c in columns])
+    write_table(path, ["t", "q_hat", "pi_hat", "regime"], [c[:, None] for c in columns])
 
 
 def write_admissibility_csv(path, model, report):
-    n = model.dist.n
-    write_table(path, ["t", "atom_index", "lhs", "rhs", "margin"], len(report.grid), n, [
-        (OUTER, report.grid), (INNER, range(n)), (CELL, report.lhs.T), (CONST, report.rhs),
-        (CELL, report.margin.T)])
+    write_table(path, ["t", "atom_index", "lhs", "rhs", "margin"], [
+        report.grid[:, None], np.arange(model.dist.n), report.lhs.T, report.rhs, report.margin.T])
 
 
 def write_simulation_csv(path, result):
-    n = len(result.gammas)
+    """One row per atom: its index, gamma and estimates, and the reward."""
     header = ["atom_index", "gamma", "utility_mean", "utility_se", "cert_equiv", "reward_J"]
-    per_atom = (range(n), result.gammas, result.utility_mean, result.utility_se, result.cert_equiv)
-    write_table(path, header, n, 1, [*((OUTER, c) for c in per_atom), (CONST, result.reward)])
+    write_table(path, header, [np.arange(len(result.gammas)), result.gammas, result.utility_mean,
+                               result.utility_se, result.cert_equiv, result.reward])
 
 
 def write_sweep_csv(path, param, grid, values, curves, label):
     """A sweep of param: one row per (value, grid point), the curve of each
-    value (a sequence of arrays over the grid) in its rows."""
-    write_table(path, ["param", "value", "t", "observable", "result"], len(values), len(grid), [
-        (CONST, param), (OUTER, values), (INNER, grid), (CONST, label), (CELL, curves)])
+    value (a row of curves, over the grid) in its rows."""
+    write_table(path, ["param", "value", "t", "observable", "result"], [
+        param, np.asarray(values)[:, None], grid, label, curves])

@@ -268,7 +268,10 @@ def g3_closed_single(t, model: ValidatedModel):
     """Closed-form g3 for a single aversion atom (test oracle).
 
     Valid when k3 > 0; combines a linear term, the discounting term and a
-    logarithmic integral of the closed-form g2.
+    logarithmic integral of the closed-form g2. The integral's log of
+    2 k4 e^{(k2 + k4) tau / 2} / (2 k4 + (k2 + k4)(e^{k4 tau} - 1)) is
+    evaluated divided through by e^{k4 tau}, so nothing overflows at a
+    large k4 tau.
     """
     if model.dist.n != 1:
         raise ValueError("closed-form g3 requires exactly one aversion atom")
@@ -276,8 +279,8 @@ def g3_closed_single(t, model: ValidatedModel):
     gamma = model.dist.gammas[0]
     k = RiccatiConstants.from_heston(hs)
     tau = model.horizon.T - np.asarray(t, dtype=float)
-    e = np.expm1(k.k4 * tau)
-    log_term = np.log(2.0 * k.k4 * np.exp(0.5 * (k.k2 + k.k4) * tau) / (2.0 * k.k4 + (k.k2 + k.k4) * e))
+    log_term = (np.log(2.0 * k.k4) + 0.5 * (k.k2 - k.k4) * tau
+                - np.log((k.k2 + k.k4) + (k.k4 - k.k2) * np.exp(-k.k4 * tau)))
     return (
         -0.5 * (ins.a ** 2 * ins.eta2 ** 2 / ins.b ** 2) * tau
         + (ins.a * ins.eta * gamma / hs.r) * (1.0 - np.exp(hs.r * tau))

@@ -36,9 +36,9 @@ CASES = {"caseI": CASE_I, "caseII": CASE_II}
 STEP_YEARS = 1e-3  # default grid step for both horizons
 
 
-def baseline_model(case="caseI", T=10.0, M=None, x0=Horizon.x0, **heston_overrides):
+def baseline_model(case="caseI", T=10.0, M=None, **heston_overrides):
     """Validated baseline model for one aversion case and horizon; M
     defaults to the 1e-3 year step."""
-    hz = Horizon(T=float(T), M=int(round(T / STEP_YEARS) if M is None else M), x0=x0)
+    hz = Horizon(T=float(T), M=int(round(T / STEP_YEARS) if M is None else M))
     dist = CASES[case] if isinstance(case, str) else case
     return validate_config(BASE_INSURANCE, replace(BASE_HESTON, **heston_overrides), dist, hz)

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eqreinvest import csvio
-from eqreinvest.csvio import CELL, CONST, FAST_MAX, FAST_MIN, INNER, OUTER, fmt, fmt17, write_csv, write_table
+from eqreinvest.csvio import FAST_MAX, FAST_MIN, fmt, fmt17, write_csv, write_table
 from eqreinvest.model import AversionDistribution, Horizon, validate_config
 from eqreinvest.odes import g2_closed_single
 from eqreinvest.presets import BASE_HESTON, BASE_INSURANCE
@@ -55,6 +55,10 @@ _DOUBLE_BITS = st.integers(min_value=0, max_value=2 ** 64 - 1).map(
 @example(2.2250738585072014e-308)
 @example(1.7976931348623157e308)
 @example(-1.7976931348623157e308)
+@example(2.0 ** 51)
+@example(1e15)
+@example(999999999999999.9)  # the double below 1e15: the exact path's largest decade
+@example(9.999999999999998e15)
 def test_fmt17_matches_printf_on_any_double(x):
     _assert_fmt17_is_printf([x])
 
@@ -112,63 +116,49 @@ def test_write_csv_lf_only(tmp_path):
     assert data.decode().splitlines() == ["a,b", "1,2", "0.1,0.2"]
 
 
-_CELL = st.one_of(
-    st.floats(allow_nan=False),
-    st.floats(allow_nan=False).map(np.float64),
-    st.integers(min_value=-(2 ** 70), max_value=2 ** 70),
-    st.text(alphabet="abcxyz_019.-"),
-    st.text(alphabet="abcxyz_019.-").map(np.str_),
-)
 _FLOAT = st.floats() | _DOUBLE_BITS
 _WORD = st.text(alphabet="abcxyz_019.-\u00e9")
+_ELEMENTS = st.sampled_from([
+    _FLOAT,
+    st.integers(min_value=-(2 ** 70), max_value=2 ** 70),  # int64, uint64 or object arrays
+    st.text(alphabet="abcxyz_019.-"),
+    _WORD,  # ASCII or not
+])
 
 
-def _axis_values(size):
-    """A column of one axis as the writers pass them: a list of any cell
-    types mixed, a range, a float array, or a str array (ASCII or not)."""
-    def sized(elements):
-        return st.lists(elements, min_size=size, max_size=size)
-
-    return st.one_of(sized(_CELL), st.just(range(size)), sized(_FLOAT).map(np.array),
-                     sized(_WORD).map(lambda w: np.array(w, dtype=str)))
+_VALUE_AT = {"const": lambda v, i, j: v[()], "inner": lambda v, i, j: v[j],
+             "outer": lambda v, i, j: v[i, 0], "cell": lambda v, i, j: v[i, j]}
 
 
 @st.composite
 def _tables(draw):
-    """(outer, inner, columns, value of column c at row (i, j))."""
-    outer, inner = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    """(outer, inner, columns, value of column c at row (i, j)): each column
+    an array of floats, ints or strs whose shape is its layout. outer or
+    inner is 1 when no column has that axis."""
+    layouts = draw(st.lists(st.sampled_from(list(_VALUE_AT)), min_size=1, max_size=5))
+    outer = draw(st.integers(1, 5)) if {"outer", "cell"} & set(layouts) else 1
+    inner = draw(st.integers(1, 5)) if {"inner", "cell"} & set(layouts) else 1
     columns, value_at = [], []
-    for kind in draw(st.lists(st.sampled_from([CONST, OUTER, INNER, CELL]), min_size=1, max_size=5)):
-        if kind == CONST:
-            values = draw(_CELL)
-            value_at.append(lambda i, j, v=values: v)
-        elif kind == OUTER:
-            values = draw(_axis_values(outer))
-            value_at.append(lambda i, j, v=values: v[i])
-        elif kind == INNER:
-            values = draw(_axis_values(inner))
-            value_at.append(lambda i, j, v=values: v[j])
-        else:  # an (outer, inner) array, or its rows unstacked
-            values = np.array(draw(st.lists(_FLOAT, min_size=outer * inner, max_size=outer * inner)))
-            values = values.reshape(outer, inner)
-            value_at.append(lambda i, j, v=values: v[i, j])
-            if draw(st.booleans()):
-                values = list(values)
-        columns.append((kind, values))
+    for layout in layouts:
+        shape = {"const": (), "inner": (inner,), "outer": (outer, 1), "cell": (outer, inner)}[layout]
+        size = math.prod(shape)
+        values = np.array(draw(st.lists(draw(_ELEMENTS), min_size=size, max_size=size))).reshape(shape)
+        value_at.append(lambda i, j, v=values, at=_VALUE_AT[layout]: at(v, i, j))
+        scalar = layout == "const" and draw(st.booleans())  # the writers pass Python scalars too
+        columns.append(values.item() if scalar else values)
     return outer, inner, columns, value_at
 
 
 @given(_tables(), st.sampled_from([1, 2, 3, 2048]))
 @settings(max_examples=300, deadline=None)
 def test_write_table_row_bytes_equal_fmt_join(tmp_path_factory, table, block_rows):
-    """Every column kind gives fmt's bytes, row by row, outer-major, for
-    every value type the writers pass (float, np.float64, int, str, np.str_,
-    mixed freely within a column; float and str arrays, nan and non-ASCII
-    text included), in blocks of any size."""
+    """Every column shape gives fmt's bytes, row by row, outer-major, for
+    every array type the writers pass (float, int, ASCII and non-ASCII str;
+    nan and the infinities included), in blocks of any size."""
     outer, inner, columns, value_at = table
     path = tmp_path_factory.mktemp("csv") / "table.csv"
     with mock.patch.object(csvio, "BLOCK_ROWS", block_rows):
-        write_table(path, ["h"] * len(columns), outer, inner, columns)
+        write_table(path, ["h"] * len(columns), columns)
     want = ",".join(["h"] * len(columns)) + "\n" + "".join(
         ",".join(fmt(at(i, j)) for at in value_at) + "\n" for i in range(outer) for j in range(inner))
     assert path.read_bytes() == want.encode("utf-8")
@@ -181,13 +171,28 @@ def test_write_table_float_columns_follow_fmt(tmp_path_factory, xs):
     x = np.array(xs, dtype=float)
     path = tmp_path_factory.mktemp("csv") / "floats.csv"
     want = "".join(fmt(v) + "\n" for v in xs)
-    for outer, inner, column in ((len(x), 1, (OUTER, x)), (1, len(x), (INNER, x)),
-                                 (len(x), 1, (CELL, x[:, None])), (1, len(x), (CELL, [x]))):
-        write_table(path, ["x"], outer, inner, [column])
+    for column in (x[:, None], x, x[None, :]):
+        write_table(path, ["x"], [column])
         assert path.read_text(encoding="utf-8") == "x\n" + want
-    write_table(path, ["x", "k"], len(x), 2, [(OUTER, x), (INNER, ["a", "b"])])
+    write_table(path, ["x", "k"], [x[:, None], np.array(["a", "b"])])
     assert path.read_text(encoding="utf-8") == "x,k\n" + "".join(
         f"{fmt(v)},{k}\n" for v in xs for k in "ab")
+
+
+@pytest.mark.parametrize("columns", [
+    [np.zeros(3), np.zeros(2)],
+    [np.zeros((3, 1)), np.zeros((2, 1))],
+    [np.zeros((3, 2)), np.zeros(3)],
+    [np.zeros((2, 2, 2))],
+])
+def test_write_table_rejects_columns_that_do_not_broadcast(tmp_path, columns):
+    """The shapes are checked before the file is opened: an existing file
+    keeps its bytes."""
+    path = tmp_path / "kept.csv"
+    path.write_bytes(b"a,b\n1,2\n")
+    with pytest.raises(ValueError):
+        write_table(path, ["a", "b"], columns)
+    assert path.read_bytes() == b"a,b\n1,2\n"
 
 
 def test_writers_reach_write_csv_with_one_line_per_row(tmp_path, monkeypatch, model_case1, gsol_case1):
