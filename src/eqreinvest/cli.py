@@ -231,10 +231,9 @@ def run_sweep(model, param, values, observable):
     """Evaluate the observable over the parameter grid, one cell at a time.
 
     Returns (values, curves, label) for csvio.write_sweep_csv: the values
-    shown, their curves over the grid as the rows of one array, and the
-    observable's column label. In pi_diff mode the first value is the
-    baseline and the curves are pi_hat(t; value) - pi_hat(t; baseline) for
-    the remaining values.
+    shown, a row of curves (over the grid) per value, and the observable's
+    column label. In pi_diff mode the first value is the baseline and the
+    curves are pi_hat(t; value) - pi_hat(t; baseline) for the others.
     """
     _params_holding(model, param)
     if observable not in ("q_hat", "pi_hat", "pi_diff"):

@@ -302,7 +302,6 @@ def write_admissibility_csv(path, model, report):
 
 
 def write_simulation_csv(path, result):
-    """One row per atom: its index, gamma and estimates, and the reward."""
     header = ["atom_index", "gamma", "utility_mean", "utility_se", "cert_equiv", "reward_J"]
     write_table(path, header, [np.arange(len(result.gammas)), result.gammas, result.utility_mean,
                                result.utility_se, result.cert_equiv, result.reward])

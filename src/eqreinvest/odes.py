@@ -268,10 +268,8 @@ def g3_closed_single(t, model: ValidatedModel):
     """Closed-form g3 for a single aversion atom (test oracle).
 
     Valid when k3 > 0; combines a linear term, the discounting term and a
-    logarithmic integral of the closed-form g2. The integral's log of
-    2 k4 e^{(k2 + k4) tau / 2} / (2 k4 + (k2 + k4)(e^{k4 tau} - 1)) is
-    evaluated divided through by e^{k4 tau}, so nothing overflows at a
-    large k4 tau.
+    logarithmic integral of the closed-form g2, whose log term is evaluated
+    divided through by e^{k4 tau} so that nothing overflows.
     """
     if model.dist.n != 1:
         raise ValueError("closed-form g3 requires exactly one aversion atom")
