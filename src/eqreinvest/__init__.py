@@ -31,7 +31,6 @@ from .strategy import (
     AdmissibilityReport,
     RegimeReport,
     SensitivityReport,
-    StrategyPath,
     ValueRangeError,
     ValueSurface,
     check_admissibility,
@@ -40,6 +39,7 @@ from .strategy import (
     pi_hat_path,
     q_hat,
     regime_classification,
+    regime_labels,
     retention_ratio,
     sensitivity_signs,
     value_function,

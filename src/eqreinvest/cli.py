@@ -39,6 +39,7 @@ from .strategy import (
     pi_hat_path,
     q_hat as strategy_q_hat,
     regime_classification,
+    regime_labels,
 )
 
 EXIT_OK = 0
@@ -139,11 +140,11 @@ def cmd_solve(args):
     timings["solve"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    spath = equilibrium_strategy(model, gsol.g2)
+    q, pi = equilibrium_strategy(model, gsol.g2)
     regime = regime_classification(model)
     os.makedirs(args.out, exist_ok=True)
     write_g_csv(os.path.join(args.out, "g_functions.csv"), model, gsol)
-    write_strategy_csv(os.path.join(args.out, "strategy.csv"), spath)
+    write_strategy_csv(os.path.join(args.out, "strategy.csv"), model.horizon.grid(), q, pi, regime_labels(q))
     _write_json(os.path.join(args.out, "regime.json"), {
         "retention_ratio": regime.ratio,
         "crossover_time_to_maturity": regime.crossover_tau,
@@ -176,8 +177,7 @@ def cmd_check(args):
 
 def _parse_strategy_flag(model, token):
     if token == "equilibrium":
-        spath = equilibrium_strategy(model, solve_g2_coupled(model))
-        return spath.q_hat, spath.pi_hat
+        return equilibrium_strategy(model, solve_g2_coupled(model))
     if token == "zero":
         return 0.0, 0.0
     if token.startswith("const:"):
@@ -211,7 +211,7 @@ def cmd_simulate(args):
     result = estimate_reward(model, batch)
     timings = {"simulate": time.perf_counter() - t0}
     os.makedirs(args.out, exist_ok=True)
-    write_simulation_csv(os.path.join(args.out, "simulation.csv"), result)
+    write_simulation_csv(os.path.join(args.out, "simulation.csv"), model, result)
     _write_manifest(args.out, "simulate", model_to_config_dict(model, parsed["seed"]), flags, timings)
     return EXIT_OK
 

@@ -288,22 +288,23 @@ def write_csv(path, header, lines):
 def write_g_csv(path, model, gsol):
     """GSolution export: one row per (grid point, atom), time ascending."""
     write_table(path, ["t", "atom_index", "gamma", "g1", "g2", "g3"], [
-        gsol.grid[:, None], np.arange(model.dist.n), model.dist.gammas, gsol.g1.T, gsol.g2.T, gsol.g3.T])
+        model.horizon.grid()[:, None], np.arange(model.dist.n), model.dist.gammas,
+        gsol.g1.T, gsol.g2.T, gsol.g3.T])
 
 
-def write_strategy_csv(path, spath):
-    columns = (spath.grid, spath.q_hat, spath.pi_hat, spath.regime)
-    write_table(path, ["t", "q_hat", "pi_hat", "regime"], [c[:, None] for c in columns])
+def write_strategy_csv(path, grid, q, pi, regime):
+    """A strategy (q, pi) on the grid: one row per grid point, with its regime label."""
+    write_table(path, ["t", "q_hat", "pi_hat", "regime"], [c[:, None] for c in (grid, q, pi, regime)])
 
 
 def write_admissibility_csv(path, model, report):
     write_table(path, ["t", "atom_index", "lhs", "rhs", "margin"], [
-        report.grid[:, None], np.arange(model.dist.n), report.lhs.T, report.rhs, report.margin.T])
+        model.horizon.grid()[:, None], np.arange(model.dist.n), report.lhs.T, report.rhs, report.margin.T])
 
 
-def write_simulation_csv(path, result):
+def write_simulation_csv(path, model, result):
     header = ["atom_index", "gamma", "utility_mean", "utility_se", "cert_equiv", "reward_J"]
-    write_table(path, header, [np.arange(len(result.gammas)), result.gammas, result.utility_mean,
+    write_table(path, header, [np.arange(model.dist.n), model.dist.gammas, result.utility_mean,
                                result.utility_se, result.cert_equiv, result.reward])
 
 

@@ -118,10 +118,12 @@ class InsuranceParams:
             v.append(f"mu2 must be > 0, got {self.mu2}")
         if not self.eta1 >= 0:
             v.append(f"eta1 must be >= 0, got {self.eta1}")
-        if not self.eta2 >= self.eta1:
+        # a check across fields runs on finite fields only, so that a
+        # non-finite input is reported once, as such
+        if math.isfinite(self.eta1) and not self.eta2 >= self.eta1:
             v.append(f"eta2 must be >= eta1 (no arbitrage), got eta2={self.eta2} < eta1={self.eta1}")
         # x * x, not x ** 2, which raises OverflowError past the float range
-        if self.mu2 > 0 and self.mu1 > 0 and not self.mu2 >= self.mu1 * self.mu1:
+        if self.mu2 > 0 and 0 < self.mu1 < math.inf and not self.mu2 >= self.mu1 * self.mu1:
             v.append(f"mu2 must be >= mu1^2, got mu2={self.mu2} < {self.mu1 * self.mu1}")
         return v
 
@@ -166,7 +168,9 @@ class HestonParams:
                 v.append(f"{name} must be > 0, got {val}")
         if not -1.0 <= self.rho <= 1.0:
             v.append(f"rho must be in [-1, 1], got {self.rho}")
-        if not 2.0 * self.kappa * self.theta > self.sigma * self.sigma:  # see mu1^2 above
+        # on finite fields only, and x * x, as InsuranceParams checks mu1^2
+        finite = all(map(math.isfinite, (self.kappa, self.theta, self.sigma)))
+        if finite and not 2.0 * self.kappa * self.theta > self.sigma * self.sigma:
             v.append(
                 "Feller condition violated: 2*kappa*theta="
                 f"{2.0 * self.kappa * self.theta} <= sigma^2={self.sigma * self.sigma}"
@@ -215,7 +219,12 @@ class AversionDistribution:
         for i, p in enumerate(self.probs):
             if not p > 0:
                 v.append(f"prob[{i}] must be > 0, got {p}")
-        s = math.fsum(self.probs)
+        if not all(map(math.isfinite, self.probs)):  # each is reported as such
+            return v
+        try:
+            s = math.fsum(self.probs)
+        except OverflowError:  # finite probabilities whose sum is past the float range
+            s = math.inf
         if abs(s - 1.0) > PROB_SUM_TOL:
             v.append(f"probabilities must sum to 1 within {PROB_SUM_TOL}, got {s!r}")
         return v
@@ -258,10 +267,6 @@ class ValidatedModel:
     heston: HestonParams
     dist: AversionDistribution
     horizon: Horizon
-
-    @property
-    def mean_gamma(self):
-        return self.dist.mean
 
 
 def _non_finite(ins, heston, dist, horizon):

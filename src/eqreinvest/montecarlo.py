@@ -72,7 +72,6 @@ class SimulationResult:
     around the utility means, whose sample spread gives its standard error.
     """
 
-    gammas: np.ndarray
     utility_mean: np.ndarray
     utility_se: np.ndarray
     cert_equiv: np.ndarray
@@ -113,7 +112,7 @@ def simulate_paths(
     """Simulate n_paths of (wealth, variance) under the given strategy.
 
     strategy is a pair (q, pi); each is a number or an array of its M + 1
-    values on the model grid (as equilibrium_strategy's q_hat and pi_hat),
+    values on the model grid (as the pair equilibrium_strategy returns),
     read at the left end of each step. An array of another length raises
     ValueError. Identical (model, strategy, n_paths, seed) give a
     bit-identical batch, whatever the number of workers.
@@ -301,7 +300,6 @@ def estimate_reward(model: ValidatedModel, batch: PathBatch) -> SimulationResult
                 weights += p * e / (-gamma * e_mean)
     reward = float(weighted_sum(ces, probs))
     return SimulationResult(
-        gammas=gammas,
         utility_mean=means,
         utility_se=ses,
         cert_equiv=ces,
@@ -340,10 +338,10 @@ def equilibrium_spot_check(
     paired per-path delta-method weights. A negative rate beyond three
     standard errors is flagged, never raised.
     """
-    base = equilibrium_strategy(model, gsol.g2)
-    early = base.grid < h
-    strategies = [(base.q_hat, base.pi_hat)] + [
-        (np.where(early, q, base.q_hat), np.where(early, pi, base.pi_hat)) for q, pi in perturbations]
+    q_eq, pi_eq = equilibrium_strategy(model, gsol.g2)
+    early = model.horizon.grid() < h
+    strategies = [(q_eq, pi_eq)] + [(np.where(early, q, q_eq), np.where(early, pi, pi_eq))
+                                    for q, pi in perturbations]
     batches = simulate_strategies(model, strategies, n_paths, seed)
     eq = estimate_reward(model, batches[0])
     rows = []

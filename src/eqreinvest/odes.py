@@ -60,10 +60,9 @@ class RiccatiConstants:
 class GSolution:
     """Time-gridded ansatz exponents, one row per aversion atom.
 
-    g1, g2, g3 have shape (n_atoms, M+1).
+    g1, g2, g3 have shape (n_atoms, M+1), over the model's horizon.grid().
     """
 
-    grid: np.ndarray
     g1: np.ndarray
     g2: np.ndarray
     g3: np.ndarray
@@ -100,7 +99,7 @@ def retention_ratio(model: ValidatedModel) -> float:
     instead of merely up to rounding.
     """
     ins = model.ins
-    return ins.mu1 * ins.eta2 / (ins.mu2 * model.mean_gamma)
+    return ins.mu1 * ins.eta2 / (ins.mu2 * model.dist.mean)
 
 
 def q_hat(model: ValidatedModel, t):
@@ -127,8 +126,8 @@ def pi_bar_path(model: ValidatedModel, g2) -> np.ndarray:
     """Undiscounted investment kernel pi_bar = (xi + rho*sigma*sum_j p_j g2_j) / E[gamma]
     on the grid, from g2 alone; pi_hat(t) = pi_bar(t) * e^{-r(T-t)}."""
     weighted_g2 = np.asarray(model.dist.probs) @ g2
-    return eval(_compiled(PI_BAR.format(w="w")), {**_constants(model.heston), "mean_gamma": model.mean_gamma,
-                                       "w": weighted_g2})
+    names = {**_constants(model.heston), "mean_gamma": model.dist.mean, "w": weighted_g2}
+    return eval(_compiled(PI_BAR.format(w="w")), names)
 
 
 def pi_hat_path(model: ValidatedModel, g2) -> np.ndarray:
@@ -211,7 +210,7 @@ def solve_g2_coupled(model: ValidatedModel) -> np.ndarray:
     hs, hz, dist = model.heston, model.horizon, model.dist
     integrate = _g2_integrator(dist.n)
     flat = integrate(*[-float(g) for g in dist.gammas], *map(float, dist.probs), **_constants(hs),
-                     mean_gamma=model.mean_gamma, r=hs.r, l=hz.l, half_l=0.5 * hz.l,
+                     mean_gamma=model.dist.mean, r=hs.r, l=hz.l, half_l=0.5 * hz.l,
                      s_grid=hz.grid().tolist())  # same spacing forward in s as the t grid
     return np.ascontiguousarray(np.array(flat).reshape(-1, dist.n).T[:, ::-1])  # g2(t_m) = h2(T - t_m)
 
@@ -238,10 +237,9 @@ def solve_g3(model: ValidatedModel, g1, g2) -> np.ndarray:
 def solve_g(model: ValidatedModel) -> GSolution:
     """Full G-solution: closed-form g1, coupled g2, quadrature g3."""
     hz = model.horizon
-    grid = hz.grid()
-    g1 = g1_closed(grid, np.asarray(model.dist.gammas)[:, None], model.heston.r, hz.T)
+    g1 = g1_closed(hz.grid(), np.asarray(model.dist.gammas)[:, None], model.heston.r, hz.T)
     g2 = solve_g2_coupled(model)  # g2(T) = 0 exactly: the solver starts there
-    return GSolution(grid=grid, g1=g1, g2=g2, g3=solve_g3(model, g1, g2))
+    return GSolution(g1=g1, g2=g2, g3=solve_g3(model, g1, g2))
 
 
 def residual_check(gsol: GSolution, model: ValidatedModel) -> np.ndarray:
@@ -257,7 +255,7 @@ def residual_check(gsol: GSolution, model: ValidatedModel) -> np.ndarray:
     ~8x per doubling, not 4x. The solver's own second order shows in
     self-convergence differences against a doubled grid instead.
     """
-    grid, g1, g2 = gsol.grid, gsol.g1, gsol.g2
+    grid, g1, g2 = model.horizon.grid(), gsol.g1, gsol.g2
     rhs = g2_right_side(model.heston)(pi_hat_path(model, g2) * g1, g2)
     dg2_dt = (g2[:, 2:] - g2[:, :-2]) / (grid[2:] - grid[:-2])
     defect = dg2_dt + rhs[:, 1:-1]  # the ODE reads -dg2/dt = rhs

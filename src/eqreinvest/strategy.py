@@ -36,16 +36,6 @@ class ValueRangeError(ArithmeticError):
 
 
 @dataclass
-class StrategyPath:
-    """Equilibrium (q_hat, pi_hat) on the grid plus per-point regime label."""
-
-    grid: np.ndarray
-    q_hat: np.ndarray
-    pi_hat: np.ndarray
-    regime: np.ndarray  # array of regime label strings
-
-
-@dataclass
 class AdmissibilityReport:
     """Pointwise evaluation of the moment-bound condition.
 
@@ -55,7 +45,6 @@ class AdmissibilityReport:
     verification guarantee lapses.
     """
 
-    grid: np.ndarray
     lhs: np.ndarray          # (n_atoms, M+1)
     rhs: float
     g2_nonpositive: np.ndarray
@@ -69,16 +58,17 @@ class AdmissibilityReport:
         return self.rhs - self.lhs
 
 
-def _classify(q):
+def regime_labels(q):
+    """Regime label of each retained proportion: reinsurance below one,
+    new business above, the boundary at one exactly."""
     regime = np.where(q < 1.0, REGIME_REINSURANCE, REGIME_NEW_BUSINESS)
     return np.where(q == 1.0, REGIME_BOUNDARY, regime)
 
 
-def equilibrium_strategy(model: ValidatedModel, g2) -> StrategyPath:
-    """Assemble the equilibrium strategy path on the grid, from g2 alone."""
-    grid = model.horizon.grid()
-    q = q_hat(model, grid)
-    return StrategyPath(grid=grid, q_hat=q, pi_hat=pi_hat_path(model, g2), regime=_classify(q))
+def equilibrium_strategy(model: ValidatedModel, g2) -> Tuple[np.ndarray, np.ndarray]:
+    """The equilibrium strategy (q_hat, pi_hat) on the model grid, from g2
+    alone: the pair simulate_paths reads."""
+    return q_hat(model, model.horizon.grid()), pi_hat_path(model, g2)
 
 
 def check_admissibility(model: ValidatedModel, g2) -> AdmissibilityReport:
@@ -98,7 +88,6 @@ def check_admissibility(model: ValidatedModel, g2) -> AdmissibilityReport:
     violations = np.argwhere(bad.T)  # (grid point, atom) pairs: earliest point, then lowest atom
     first_violation = (int(violations[0, 1]), int(violations[0, 0])) if len(violations) else None
     return AdmissibilityReport(
-        grid=model.horizon.grid(),
         lhs=lhs,
         rhs=rhs,
         g2_nonpositive=g2_ok,
@@ -119,10 +108,10 @@ class ValueSurface:
         self._gsol = gsol
 
     def _g_at(self, t):
-        g = self._gsol
-        g1 = np.array([np.interp(t, g.grid, row) for row in g.g1])
-        g2 = np.array([np.interp(t, g.grid, row) for row in g.g2])
-        g3 = np.array([np.interp(t, g.grid, row) for row in g.g3])
+        g, grid = self._gsol, self._model.horizon.grid()
+        g1 = np.array([np.interp(t, grid, row) for row in g.g1])
+        g2 = np.array([np.interp(t, grid, row) for row in g.g2])
+        g3 = np.array([np.interp(t, grid, row) for row in g.g3])
         return g1, g2, g3
 
     def value(self, t, x, v) -> float:
@@ -163,7 +152,7 @@ def regime_classification(model: ValidatedModel) -> RegimeReport:
     horizon is reinsurance; otherwise report the crossover time-to-maturity
     (1/r) ln(ratio). q_hat(t) = ratio e^{-r(T-t)} peaks at q_hat(T) = ratio
     (r > 0, and the grid ends at T exactly), so no grid point needs a look;
-    StrategyPath.regime labels each one."""
+    regime_labels labels each one."""
     ratio = retention_ratio(model)
     crossover = math.log(ratio) / model.heston.r if ratio >= 1.0 else None
     return RegimeReport(ratio=ratio, crossover_tau=crossover, reinsurance_throughout=ratio < 1.0)

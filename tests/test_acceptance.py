@@ -91,13 +91,13 @@ def test_criterion_02_atom_collapse(report):
         AversionDistribution.from_lists([gamma, gamma], [0.5, 0.5]), T=10.0, M=2000
     )
     gs, gd = solve_g(single), solve_g(dup)
-    ss, sd = equilibrium_strategy(single, gs.g2), equilibrium_strategy(dup, gd.g2)
+    (qs, pis), (qd, pid) = equilibrium_strategy(single, gs.g2), equilibrium_strategy(dup, gd.g2)
     dev = max(
         float(np.max(np.abs(gd.g1 - gs.g1[0]))),
         float(np.max(np.abs(gd.g2 - gs.g2[0]))),
         float(np.max(np.abs(gd.g3 - gs.g3[0]))),
-        float(np.max(np.abs(sd.q_hat - ss.q_hat))),
-        float(np.max(np.abs(sd.pi_hat - ss.pi_hat))),
+        float(np.max(np.abs(qd - qs))),
+        float(np.max(np.abs(pid - pis))),
     )
     elapsed = time.perf_counter() - t0
     ok = dev <= 1e-12 and elapsed <= 1.0
@@ -142,9 +142,9 @@ def test_criterion_04_analytic_strategy_values(report):
     )
     m0 = baseline_model("caseI", T=10.0, M=2000, rho=0.0)
     gsol0 = solve_g(m0)
-    spath0 = equilibrium_strategy(m0, gsol0.g2)
-    ref = (m0.heston.xi / m0.mean_gamma) * np.exp(-m0.heston.r * (10.0 - gsol0.grid))
-    dev_pi = float(np.max(np.abs(spath0.pi_hat - ref) / ref))
+    _, pi0 = equilibrium_strategy(m0, gsol0.g2)
+    ref = (m0.heston.xi / m0.dist.mean) * np.exp(-m0.heston.r * (10.0 - m0.horizon.grid()))
+    dev_pi = float(np.max(np.abs(pi0 - ref) / ref))
     ok = ok_q and dev_pi <= 1e-12
     report(4, "q_hat endpoints exact; rho=0 collapses pi_hat to its analytic form", ok,
             f"q(T)={q_T:.12f}, pi dev {dev_pi:.2e}")
@@ -165,7 +165,7 @@ def test_criterion_05_admissibility_all_cases(t100_case1, t100_case2, report):
         rep = check_admissibility(model, gsol.g2)
         # At maturity dg2_i/ds = xi^2 c (c/2 - 1) with c = gamma_i / E[gamma], so g2_i turns
         # positive exactly when gamma_i > 2 E[gamma]; caseII's gamma = 4 atom stays positive.
-        predicted = np.asarray(model.dist.gammas) <= 2.0 * model.mean_gamma
+        predicted = np.asarray(model.dist.gammas) <= 2.0 * model.dist.mean
         ok_bound = rep.max_lhs < rep.rhs
         ok_sign = np.array_equal(rep.g2_nonpositive, predicted) and np.array_equal(
             np.sign(gsol.g2[:, -2]), np.where(predicted, -1.0, 1.0)
@@ -201,18 +201,17 @@ def test_criterion_06_sensitivity_signs(report):
 def test_criterion_07_figure_trends(t100_case1, t100_case2, report):
     m1, gsol1 = t100_case1
     m2, gsol2 = t100_case2
-    s1 = equilibrium_strategy(m1, gsol1.g2)
-    s2 = equilibrium_strategy(m2, gsol2.g2)
+    (q1, pi1), (q2, pi2) = equilibrium_strategy(m1, gsol1.g2), equilibrium_strategy(m2, gsol2.g2)
 
     # investment profile in time-to-maturity tau = T - t: decreasing, -> 0
-    ok_pi = bool(np.all(np.diff(s1.pi_hat) > 0)) and s1.pi_hat[0] < 0.01
-    ok_pi = ok_pi and bool(np.all(np.diff(s2.pi_hat) > 0)) and s2.pi_hat[0] < 0.01
+    ok_pi = bool(np.all(np.diff(pi1) > 0)) and pi1[0] < 0.01
+    ok_pi = ok_pi and bool(np.all(np.diff(pi2) > 0)) and pi2[0] < 0.01
 
     # retention: increasing in t, strictly inside (0, 1)
     ok_q = True
-    for s in (s1, s2):
-        ok_q = ok_q and bool(np.all(np.diff(s.q_hat) > 0))
-        ok_q = ok_q and 0.0 < float(np.min(s.q_hat)) and float(np.max(s.q_hat)) < 1.0
+    for q in (q1, q2):
+        ok_q = ok_q and bool(np.all(np.diff(q) > 0))
+        ok_q = ok_q and 0.0 < float(np.min(q)) and float(np.max(q)) < 1.0
 
     # difference curves (kappa, sigma, rho families) vanish near maturity
     ok_diff = True
@@ -221,11 +220,11 @@ def test_criterion_07_figure_trends(t100_case1, t100_case2, report):
     for rho in (-0.5, 0.5):
         mb = baseline_model("caseI", T=100.0, rho=rho) if rho != -0.5 else m1
         gb = solve_g(mb) if rho != -0.5 else gsol1
-        base[rho] = equilibrium_strategy(mb, gb.g2).pi_hat
+        base[rho] = equilibrium_strategy(mb, gb.g2)[1]
     for overrides, rho in ((dict(kappa=4.0), -0.5), (dict(kappa=4.0), 0.5),
                            (dict(sigma=0.15), -0.5), (dict(sigma=0.15), 0.5)):
         ma = baseline_model("caseI", T=100.0, rho=rho, **overrides)
-        diff = equilibrium_strategy(ma, solve_g(ma).g2).pi_hat - base[rho]
+        diff = equilibrium_strategy(ma, solve_g(ma).g2)[1] - base[rho]
         ok_diff = ok_diff and float(np.max(np.abs(diff[tail]))) < 1e-3 and abs(diff[-1]) < 1e-14
     rho_diff = base[0.5] - base[-0.5]
     ok_diff = ok_diff and float(np.max(np.abs(rho_diff[tail]))) < 1e-3 and abs(rho_diff[-1]) < 1e-14
@@ -233,7 +232,7 @@ def test_criterion_07_figure_trends(t100_case1, t100_case2, report):
     ok = ok_pi and ok_q and ok_diff
     report(7, "T=100 trends: pi profile decays to 0, q_hat rises within (0,1), "
                "difference curves vanish at maturity", ok,
-            f"pi(0)={s1.pi_hat[0]:.4f}, q range ({np.min(s1.q_hat):.4f}, {np.max(s1.q_hat):.4f})")
+            f"pi(0)={pi1[0]:.4f}, q range ({np.min(q1):.4f}, {np.max(q1):.4f})")
 
 
 def test_criterion_08_monte_carlo_sanity(report):
@@ -258,8 +257,7 @@ def test_criterion_08_monte_carlo_sanity(report):
     # (iii) per-atom expected utility matches the ansatz at t = 0
     mf = baseline_model("caseI", T=1.0, M=1000)
     gsol = solve_g(mf)
-    sf = equilibrium_strategy(mf, gsol.g2)
-    bf = simulate_paths(mf, (sf.q_hat, sf.pi_hat), n_paths=100_000, seed=303)
+    bf = simulate_paths(mf, equilibrium_strategy(mf, gsol.g2), n_paths=100_000, seed=303)
     res = estimate_reward(mf, bf)
     devs = []
     ok_fk = True

@@ -236,6 +236,20 @@ def test_invalid_model_is_exit_1(tmp_path, capsys):
     assert "sum to 1" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("probs, message", [
+    ("inf, -inf", "error: prob[0] must be finite, got inf; prob[1] must be finite, got -inf\n"),
+    ("1e308, 1e308", "error: probabilities must sum to 1 within 1e-12, got inf\n"),
+])
+def test_probability_sum_past_the_float_range_is_exit_1(tmp_path, capsys, probs, message):
+    """A sum of probabilities that is inf - inf, or that overflows, is a
+    config error like any other, not a traceback or a blow-up."""
+    p = tmp_path / "probs.cfg"
+    p.write_text(BASE_CFG.replace("probs = 0.5, 0.5", f"probs = {probs}"), encoding="utf-8")
+    assert main(["solve", "--config", str(p), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == message
+
+
 def test_blow_up_is_exit_2(tmp_path, capsys):
     text = (
         BASE_CFG.replace("xi = 7/15", "xi = 100")

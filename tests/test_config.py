@@ -80,7 +80,7 @@ def test_build_model_defaults():
     model, seed = build_model(parse_config_text(BASE_TEXT))
     assert model.horizon.x0 == 1.0
     assert seed == 12345
-    assert model.mean_gamma == pytest.approx(2.25)
+    assert model.dist.mean == pytest.approx(2.25)
 
 
 def test_build_model_missing_keys_listed():

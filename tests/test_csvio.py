@@ -208,7 +208,7 @@ def test_writers_reach_write_csv_with_one_line_per_row(tmp_path, monkeypatch, mo
     real = csvio.write_csv
     monkeypatch.setattr(csvio, "write_csv", counting)
     csvio.write_g_csv(tmp_path / "g.csv", model_case1, gsol_case1)
-    rows = len(gsol_case1.grid)
+    rows = model_case1.horizon.M + 1
     assert calls == [(2 * rows, True)]
     assert len((tmp_path / "g.csv").read_text().splitlines()) == 2 * rows + 1
 

@@ -15,7 +15,7 @@ import os
 import tempfile
 import warnings
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from eqreinvest.cli import main
@@ -35,7 +35,8 @@ BASE_JSON = {
 
 tokens = st.one_of(
     st.sampled_from(["inf", "-inf", "nan", "1e400", "-1e400", "1e-400", "7/15", "1/0", "0", "-5", "",
-                     "abc", "1e308", str(2 ** 70), "1000", "0.5, 4,", "1, 2, 3"]),
+                     "abc", "1e308", str(2 ** 70), "1000", "0.5, 4,", "1, 2, 3", "inf, -inf",
+                     "1e308, 1e308"]),
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
     st.fractions(max_denominator=50).map(str),
     st.integers(-10, 300).map(str),
@@ -95,8 +96,16 @@ def runs(draw):
     return files, argv, draw(st.sampled_from(["new", "existing dir", "existing file", "below a file"]))
 
 
+def _solve_run(**edits):
+    """A run of solve on the base config with edits, as runs draws it."""
+    text = "".join(f"{k} = {v}\n" for k, v in {**BASE, **edits}.items()).encode()
+    return {"run.cfg": text}, ["solve", "--config", "run.cfg"], "new"
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(runs())
+@example(_solve_run(probs="inf, -inf"))  # fsum raises on inf - inf
+@example(_solve_run(probs="1e308, 1e308"))  # and on a sum past the float range
 def test_every_run_exits_0_to_3_with_at_most_one_stderr_line(run):
     files, argv, out_kind = run
     with tempfile.TemporaryDirectory() as tmp:

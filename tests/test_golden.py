@@ -10,7 +10,8 @@ before the writers became column specs of one table writer; the
 one-atom g_functions.csv and the four- and six-atom solve files before
 unread result fields and a no-op pin of g2 at t = T were deleted; the
 zero-strategy and two-chunk simulate digests and the spot check's rows
-before the simulator read every strategy as a (q, pi) pair. Those
+before the simulator read every strategy as a (q, pi) pair; the
+equilibrium batch before equilibrium_strategy returned that pair. Those
 changes kept every byte. A later change that moves an output bit fails here. The
 digests hold for IEEE float64 on x86-64 with glibc's libm, where two
 kernels picked from the CPU at run time round as they did when the digests
@@ -33,7 +34,7 @@ import numpy as np
 import pytest
 
 import eqreinvest
-from eqreinvest import equilibrium_spot_check, solve_g
+from eqreinvest import equilibrium_spot_check, equilibrium_strategy, simulate_paths, solve_g, solve_g2_coupled
 from eqreinvest.cli import EXIT_ADMISSIBILITY, EXIT_OK, main
 from eqreinvest.presets import baseline_model
 
@@ -120,6 +121,11 @@ SPOT_CHECK_ROWS = [
     (0.0, 1.0, 0.1, 1.0339957908739001, 1.031461317155384, 0.02534473718516228, 0.003127843986242719, False),
     (1.0, 0.0, 0.1, 1.0339957908739001, 1.0148241283994803, 0.19171662474419815, 0.009763260894336583, False),
 ]
+
+# simulate_paths on caseII at T = 1, M = 100 under the equilibrium strategy,
+# 16389 paths (two chunks) and seed 17: the sha256 of x_terminal and then
+# v_terminal, and min_v
+EQUILIBRIUM_BATCH = ("d5dd6e4080a63fd87a006e4b9d00294cb5ec18f78301353c113d7ba4981772a2", 0.0)
 
 # (argv after --config/--out, gammas, probs, T, M) -> {output file: sha256}:
 # one atom at gamma = 0.2 (retention ratio 1.25, q_hat crosses 1 about 4.46
@@ -270,6 +276,13 @@ def test_spot_check_rows_match_golden_values():
     perturbations = [row[:2] for row in SPOT_CHECK_ROWS]
     rows = equilibrium_spot_check(m, solve_g(m), perturbations, h=0.1, n_paths=20000, seed=404)
     assert [dataclasses.astuple(row) for row in rows] == SPOT_CHECK_ROWS, _platform()
+
+
+def test_equilibrium_pair_batch_matches_golden_digest():
+    m = baseline_model("caseII", T=1.0, M=100)
+    b = simulate_paths(m, equilibrium_strategy(m, solve_g2_coupled(m)), 16389, seed=17, workers=1)
+    digest = hashlib.sha256(b.x_terminal.tobytes() + b.v_terminal.tobytes()).hexdigest()
+    assert (digest, b.min_v) == EQUILIBRIUM_BATCH, _platform()
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(

@@ -73,7 +73,7 @@ def test_validate_config_rejects_loading_arbitrage():
 
 def test_validate_config_accepts_table1_case1():
     m = validate_config(BASE_INSURANCE, BASE_HESTON, CASE_I, Horizon(T=10.0, M=10000))
-    assert m.mean_gamma == pytest.approx(2.25)
+    assert m.dist.mean == pytest.approx(2.25)
     assert m.ins.a == pytest.approx(0.1)
 
 
@@ -112,6 +112,27 @@ def test_validate_config_reports_a_non_finite_input_once():
         "gamma[1] must be finite, got inf",
         "M must be an integer >= 1, got 0",
     ]
+
+
+NUMERIC_INPUTS = [f.name for part in (BASE_INSURANCE, BASE_HESTON, Horizon(T=1.0, M=10))
+                  for f in dataclasses.fields(part)] + ["gamma[0]", "gamma[1]", "prob[0]", "prob[1]"]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", NUMERIC_INPUTS)
+def test_each_non_finite_input_is_its_only_violation(name, value):
+    """No range check or check across fields reports a non-finite input a
+    second time, for any numeric input of an otherwise valid model."""
+    parts = [BASE_INSURANCE, BASE_HESTON, Horizon(T=1.0, M=10)]
+    atoms = {"gamma": list(CASE_I.gammas), "prob": list(CASE_I.probs)}
+    if "[" in name:
+        atoms[name[:-3]][int(name[-2])] = value
+    else:
+        parts = [dataclasses.replace(p, **{name: value}) if hasattr(p, name) else p for p in parts]
+    ins, heston, horizon = parts
+    with pytest.raises(ValidationError) as exc:
+        validate_config(ins, heston, AversionDistribution.from_lists(atoms["gamma"], atoms["prob"]), horizon)
+    assert exc.value.violations == [f"{name} must be finite, got {value}"]
 
 
 def test_validate_config_idempotent():

@@ -88,9 +88,9 @@ def test_strategy_array_on_another_grid_is_refused():
 
     m100, m200 = (baseline_model("caseI", T=1.0, M=M) for M in (100, 200))
     for m, other in ((m100, m200), (m200, m100)):
-        spath = equilibrium_strategy(other, solve_g2_coupled(other))
+        q, pi = equilibrium_strategy(other, solve_g2_coupled(other))
         lengths = rf"\({other.horizon.M + 1},\).* {m.horizon.M + 1} points"
-        for strategy in ((spath.q_hat, spath.pi_hat), (0.5, spath.pi_hat), (spath.q_hat, 0.5)):
+        for strategy in ((q, pi), (0.5, pi), (q, 0.5)):
             with pytest.raises(ValueError, match=lengths):
                 simulate_paths(m, strategy, 1000, 1)
 
@@ -172,8 +172,7 @@ def test_underflowing_cert_equiv_matches_ansatz():
         Horizon(T=1.0, M=1000, x0=30.0),
     )
     gsol = solve_g(m)
-    spath = equilibrium_strategy(m, gsol.g2)
-    res = estimate_reward(m, simulate_paths(m, (spath.q_hat, spath.pi_hat), 10000, seed=30))
+    res = estimate_reward(m, simulate_paths(m, equilibrium_strategy(m, gsol.g2), 10000, seed=30))
     assert res.utility_mean[1] == 0.0  # the plain mean underflows
     for i, gamma in enumerate(m.dist.gammas):
         expo = gsol.g1[i, 0] * m.horizon.x0 + gsol.g2[i, 0] * m.heston.v0 + gsol.g3[i, 0]
@@ -188,8 +187,7 @@ def test_feynman_kac_consistency():
 
     m = baseline_model("caseI", T=1.0, M=1000)
     gsol = solve_g(m)
-    spath = equilibrium_strategy(m, gsol.g2)
-    batch = simulate_paths(m, (spath.q_hat, spath.pi_hat), n_paths=40000, seed=21)
+    batch = simulate_paths(m, equilibrium_strategy(m, gsol.g2), n_paths=40000, seed=21)
     res = estimate_reward(m, batch)
     for i, gamma in enumerate(m.dist.gammas):
         expo = gsol.g1[i, 0] * m.horizon.x0 + gsol.g2[i, 0] * m.heston.v0 + gsol.g3[i, 0]
@@ -228,8 +226,7 @@ def test_shared_pass_matches_single_runs_across_chunks():
     from eqreinvest.odes import solve_g
 
     m = baseline_model("caseII", T=1.0, M=20)
-    spath = equilibrium_strategy(m, solve_g(m).g2)
-    strategies = [(spath.q_hat, spath.pi_hat), (0.0, 0.0), (0.3, 7 / 15)]
+    strategies = [equilibrium_strategy(m, solve_g(m).g2), (0.0, 0.0), (0.3, 7 / 15)]
     n = CHUNK_SIZE + 5
     shared = simulate_strategies(m, strategies, n, seed=12)
     assert len(shared) == 3
@@ -256,11 +253,11 @@ def test_spot_check_rows_match_per_strategy_runs():
     perturbations, h, n, seed = [(0.5, 0.5), (0.0, 1.0), (1.0, 0.0)], 0.1, 3000, 404
     rows = equilibrium_spot_check(m, gsol, perturbations, h, n, seed)
 
-    base = equilibrium_strategy(m, gsol.g2)
-    eq = estimate_reward(m, simulate_paths(m, (base.q_hat, base.pi_hat), n, seed))
+    q_eq, pi_eq = equilibrium_strategy(m, gsol.g2)
+    eq = estimate_reward(m, simulate_paths(m, (q_eq, pi_eq), n, seed))
     for row, (q, pi) in zip(rows, perturbations):
-        early = base.grid < h
-        pert = (np.where(early, q, base.q_hat), np.where(early, pi, base.pi_hat))
+        early = m.horizon.grid() < h
+        pert = (np.where(early, q, q_eq), np.where(early, pi, pi_eq))
         res = estimate_reward(m, simulate_paths(m, pert, n, seed))
         rate = (eq.reward - res.reward) / h
         rate_se = float(np.std(eq.weights - res.weights, ddof=1) / math.sqrt(n)) / h
@@ -274,8 +271,7 @@ def test_workers_do_not_change_outputs(four_cores):
     from eqreinvest.odes import solve_g
 
     m = baseline_model("caseII", T=1.0, M=20)
-    spath = equilibrium_strategy(m, solve_g(m).g2)
-    strategies = [(spath.q_hat, spath.pi_hat), (0.0, 0.0), (0.3, 7 / 15)]
+    strategies = [equilibrium_strategy(m, solve_g(m).g2), (0.0, 0.0), (0.3, 7 / 15)]
     n = 2 * CHUNK_SIZE + 5
     assert worker_count(3, 2) == 2
     serial = simulate_strategies(m, strategies, n, seed=12, workers=1)

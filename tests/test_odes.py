@@ -102,7 +102,7 @@ def test_g2_closed_matches_fine_scalar_integration():
 
 
 def test_coupled_solver_matches_closed_form_single_atom(model_single, gsol_single):
-    ref = g2_closed_single(gsol_single.grid, model_single.heston, model_single.horizon.T)
+    ref = g2_closed_single(model_single.horizon.grid(), model_single.heston, model_single.horizon.T)
     assert np.max(np.abs(gsol_single.g2[0] - ref)) < 1e-6
 
 
@@ -153,7 +153,7 @@ def test_g2_nonpositive_baseline(gsol_case1):
 
 
 def test_g3_matches_closed_form_single_atom(model_single, gsol_single):
-    ref = g3_closed_single(gsol_single.grid, model_single)
+    ref = g3_closed_single(model_single.horizon.grid(), model_single)
     assert np.max(np.abs(gsol_single.g3[0] - ref)) < 1e-6
 
 

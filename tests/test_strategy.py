@@ -12,6 +12,7 @@ from eqreinvest import (
     check_admissibility,
     equilibrium_strategy,
     regime_classification,
+    regime_labels,
     sensitivity_signs,
     value_function,
 )
@@ -46,25 +47,30 @@ def test_q_hat_case2_scales_with_mean_gamma(model_case1, model_case2):
 
 def test_pi_hat_terminal_value(model_case1, gsol_case1):
     # g2(T) = 0, so pi_hat(T) = xi / E[gamma]
-    spath = equilibrium_strategy(model_case1, gsol_case1.g2)
-    assert spath.pi_hat[-1] == pytest.approx((7.0 / 15.0) / 2.25, rel=1e-13)
+    _, pi = equilibrium_strategy(model_case1, gsol_case1.g2)
+    assert pi[-1] == pytest.approx((7.0 / 15.0) / 2.25, rel=1e-13)
 
 
 def test_pi_hat_positive_baseline(model_case1, gsol_case1):
-    spath = equilibrium_strategy(model_case1, gsol_case1.g2)
-    assert np.all(spath.pi_hat > 0)
+    _, pi = equilibrium_strategy(model_case1, gsol_case1.g2)
+    assert np.all(pi > 0)
 
 
 def test_pi_bar_is_undiscounted_pi_hat(model_case1, gsol_case1):
-    spath = equilibrium_strategy(model_case1, gsol_case1.g2)
-    grid = gsol_case1.grid
+    _, pi = equilibrium_strategy(model_case1, gsol_case1.g2)
+    grid = model_case1.horizon.grid()
     discount = np.exp(-0.05 * (10.0 - grid))
-    assert np.allclose(pi_bar_path(model_case1, gsol_case1.g2) * discount, spath.pi_hat, rtol=1e-14)
+    assert np.allclose(pi_bar_path(model_case1, gsol_case1.g2) * discount, pi, rtol=1e-14)
 
 
 def test_strategy_regime_all_reinsurance(model_case1, gsol_case1):
-    spath = equilibrium_strategy(model_case1, gsol_case1.g2)
-    assert set(spath.regime) == {"Reinsurance"}
+    q, _ = equilibrium_strategy(model_case1, gsol_case1.g2)
+    assert set(regime_labels(q)) == {"Reinsurance"}
+
+
+def test_regime_labels_split_at_one():
+    labels = regime_labels(np.array([0.5, 1.0, np.nextafter(1.0, 2.0), 3.0]))
+    assert labels.tolist() == ["Reinsurance", "Boundary", "NewBusiness", "NewBusiness"]
 
 
 def test_admissibility_passes_baseline(model_case1, gsol_case1):
@@ -153,8 +159,8 @@ def test_regime_crossover():
     assert rep.ratio == pytest.approx(ratio, rel=1e-13)
     assert rep.crossover_tau == pytest.approx(math.log(ratio) / 0.05, rel=1e-13)
     assert not rep.reinsurance_throughout
-    spath = equilibrium_strategy(m, solve_g2_coupled(m))
-    assert "NewBusiness" in spath.regime
+    q, _ = equilibrium_strategy(m, solve_g2_coupled(m))
+    assert "NewBusiness" in regime_labels(q)
 
 
 def test_sensitivity_signs_interior(model_case1):
@@ -171,7 +177,7 @@ def test_sensitivity_signs_at_maturity(model_case1):
 
 def test_case2_strategy_larger_than_case1(gsol_case1, gsol_case2, model_case1, model_case2):
     """Lower mean aversion (case II) retains more risk and invests more."""
-    s1 = equilibrium_strategy(model_case1, gsol_case1.g2)
-    s2 = equilibrium_strategy(model_case2, gsol_case2.g2)
-    assert np.all(s2.q_hat > s1.q_hat)
-    assert np.all(s2.pi_hat > s1.pi_hat)
+    (q1, pi1), (q2, pi2) = (equilibrium_strategy(m, g.g2) for m, g in ((model_case1, gsol_case1),
+                                                                        (model_case2, gsol_case2)))
+    assert np.all(q2 > q1)
+    assert np.all(pi2 > pi1)
