@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -269,17 +269,41 @@ class ValidatedModel:
     horizon: Horizon
 
 
+def _past_float_range(val):
+    """Whether val is an int that float() refuses as too large."""
+    if isinstance(val, int):
+        try:
+            float(val)
+        except OverflowError:
+            return True
+    return False
+
+
 def _non_finite(ins, heston, dist, horizon):
-    """(name, value) of every real-number input that is infinite or NaN;
-    inputs of another type are left to the range checks."""
+    """(name, value) of every real-number input that is infinite or NaN, with
+    an int past the float range shown as such; inputs of another type are
+    left to the range checks."""
     named = [(f.name, getattr(part, f.name)) for part in (ins, heston, horizon) for f in fields(part)]
     named += [(f"gamma[{i}]", g) for i, g in enumerate(dist.gammas)]
     named += [(f"prob[{i}]", p) for i, p in enumerate(dist.probs)]
-    return [
-        (name, val)
-        for name, val in named
-        if isinstance(val, (int, float, np.integer, np.floating)) and not math.isfinite(val)
-    ]
+    found = []
+    for name, val in named:
+        if _past_float_range(val):
+            found.append((name, "an int past the float range"))
+        elif isinstance(val, (int, float, np.integer, np.floating)) and not math.isfinite(val):
+            found.append((name, val))
+    return found
+
+
+def _nan_past_float_range(part):
+    """part with each int past the float range, in a field or a tuple field,
+    replaced by nan: the range checks compare and print nan without an
+    OverflowError, and _non_finite reports the int."""
+    def fix(val):
+        if isinstance(val, tuple):
+            return tuple(map(fix, val))
+        return math.nan if _past_float_range(val) else val
+    return replace(part, **{f.name: fix(getattr(part, f.name)) for f in fields(part)})
 
 
 @functools.cache
@@ -304,9 +328,10 @@ def memory_violation(what, n_values):
 def validate_config(ins, heston, dist, horizon) -> ValidatedModel:
     """Check every type invariant and return the immutable model bundle.
 
-    Every input must be finite. Violations are aggregated: a single
-    ValidationError lists all of them, one per input (a non-finite input
-    is not also reported by its range check). Once the inputs are valid,
+    Every input must be finite (an int past the float range is not).
+    Violations are aggregated: a single ValidationError lists all of them,
+    one per input (a non-finite input is not also reported by its range
+    check). Once the inputs are valid,
     the square of g1's largest magnitude max_i gamma_i e^{rT} must be
     finite (g3's quadrature squares g1), and the grid and the g1, g2, g3
     arrays ((3n+1)(M+1) float64 values) must fit in physical memory.
@@ -315,6 +340,7 @@ def validate_config(ins, heston, dist, horizon) -> ValidatedModel:
     reported = tuple(f"{name} " for name, _ in non_finite)
     violations = [f"{name} must be finite, got {val}" for name, val in non_finite]
     for part in (ins, heston, dist, horizon):
+        part = _nan_past_float_range(part) if non_finite else part
         violations += [v for v in part.violations() if not v.startswith(reported)]
     if not violations:
         with np.errstate(over="ignore"):  # g3's quadrature squares g1 = -gamma e^{r(T-t)}

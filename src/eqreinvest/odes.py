@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,7 +150,9 @@ def g2_right_side(heston: HestonParams):
 def _g2_integrator(n):
     """The loop of solve_g2_coupled written out for n atoms, compiled on the
     first solve with n atoms: the state is h0..h{n-1}, and the weighted
-    sums, PI_BAR and RIGHT_SIDE are inlined."""
+    sums, PI_BAR and RIGHT_SIDE are inlined. Each step writes h{i} into row
+    i of one array("d") buffer of n * points values, from the end, so the
+    buffer is g2 on the t grid, atom-major, at 8 bytes per state."""
     def each(template, sep="; "):
         return sep.join(template.format(i=i) for i in range(n))
 
@@ -168,8 +171,9 @@ def _g2_integrator(n):
         each(corrector, "\n"),
         f"if not ({each('low <= h{i} <= high', ' and ')}):  # nan fails too",
         f"    h = {state}; value = max(map(abs, h)) if all(map(math.isfinite, h)) else math.inf",
-        f"    raise BlowUpError(len(flat) // {n}, value)",
-        f"flat += {state}", "decay = decay_next; " + each("g{i} = n{i}"),
+        "    raise BlowUpError(points - k, value)",
+        "k -= 1; buf[k] = h0" + "".join(f"; buf[k + o{i}] = h{i}" for i in range(1, n)),
+        "decay = decay_next; " + each("g{i} = n{i}"),
     ]
     body = "\n".join(step).replace("\n", "\n" + " " * 8)
     return define(f"""
@@ -177,13 +181,15 @@ def integrate({", ".join(ng + w)}, *, s_grid, xi, kappa, rs, half_s2, mean_gamma
               exp=math.exp, fsum=math.fsum, low=-BLOWUP_THRESHOLD, high=BLOWUP_THRESHOLD):
     {"; ".join(split_source(w))}
     {each("h{i} = 0.0")}
-    flat = list({state})
+    points = len(s_grid); k = points - 1  # k: the last index written in row 0
+    {"; ".join(f"o{i} = {i} * points" for i in range(1, n))}
+    buf = array("d", [0.0]) * ({n} * points)  # h(0) = 0 ends each row already
     growth = exp(r * s_grid[0]); {each("g{i} = ng{i} * growth")}
     decay = exp(-r * s_grid[0])
     for s in s_grid[1:]:
         {body}
-    return flat
-""", "integrate", math=math, BLOWUP_THRESHOLD=BLOWUP_THRESHOLD, BlowUpError=BlowUpError)
+    return buf
+""", "integrate", array=array, math=math, BLOWUP_THRESHOLD=BLOWUP_THRESHOLD, BlowUpError=BlowUpError)
 
 
 def solve_g2_coupled(model: ValidatedModel) -> np.ndarray:
@@ -192,9 +198,12 @@ def solve_g2_coupled(model: ValidatedModel) -> np.ndarray:
     The backward ODE is integrated forward in time-since-maturity s with
     h2(0) = 0; one predictor and one corrector step per grid interval, all
     atoms advanced simultaneously against the same previous-step vector.
-    The result is reversed onto the t grid. Raises BlowUpError when any
-    |h2| exceeds BLOWUP_THRESHOLD (inf if any is not finite), found by one
-    range test per atom and step.
+    Each state goes into one float64 buffer of n(M+1) values, 8 bytes per
+    state, atom by atom and from the end, so that the buffer read as an
+    (n, M+1) C-contiguous array is g2 on the t grid, with no reversing or
+    transposing copy. Raises BlowUpError when any |h2| exceeds
+    BLOWUP_THRESHOLD (inf if any is not finite), found by one range test
+    per atom and step.
 
     The loop is generated for the model's atom count and compiled once per
     count (_g2_integrator): the state lives in locals h0..h{n-1}, and the
@@ -209,10 +218,10 @@ def solve_g2_coupled(model: ValidatedModel) -> np.ndarray:
     """
     hs, hz, dist = model.heston, model.horizon, model.dist
     integrate = _g2_integrator(dist.n)
-    flat = integrate(*[-float(g) for g in dist.gammas], *map(float, dist.probs), **_constants(hs),
-                     mean_gamma=model.dist.mean, r=hs.r, l=hz.l, half_l=0.5 * hz.l,
-                     s_grid=hz.grid().tolist())  # same spacing forward in s as the t grid
-    return np.ascontiguousarray(np.array(flat).reshape(-1, dist.n).T[:, ::-1])  # g2(t_m) = h2(T - t_m)
+    buf = integrate(*[-float(g) for g in dist.gammas], *map(float, dist.probs), **_constants(hs),
+                    mean_gamma=model.dist.mean, r=hs.r, l=hz.l, half_l=0.5 * hz.l,
+                    s_grid=memoryview(hz.grid()))  # same spacing forward in s as the t grid
+    return np.frombuffer(buf).reshape(dist.n, hz.M + 1)  # g2(t_m) = h2(T - t_m)
 
 
 def solve_g3(model: ValidatedModel, g1, g2) -> np.ndarray:

@@ -118,11 +118,8 @@ NUMERIC_INPUTS = [f.name for part in (BASE_INSURANCE, BASE_HESTON, Horizon(T=1.0
                   for f in dataclasses.fields(part)] + ["gamma[0]", "gamma[1]", "prob[0]", "prob[1]"]
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("name", NUMERIC_INPUTS)
-def test_each_non_finite_input_is_its_only_violation(name, value):
-    """No range check or check across fields reports a non-finite input a
-    second time, for any numeric input of an otherwise valid model."""
+def _violations_with(name, value):
+    """The violations of a valid caseI model with one numeric input set to value."""
     parts = [BASE_INSURANCE, BASE_HESTON, Horizon(T=1.0, M=10)]
     atoms = {"gamma": list(CASE_I.gammas), "prob": list(CASE_I.probs)}
     if "[" in name:
@@ -131,8 +128,24 @@ def test_each_non_finite_input_is_its_only_violation(name, value):
         parts = [dataclasses.replace(p, **{name: value}) if hasattr(p, name) else p for p in parts]
     ins, heston, horizon = parts
     with pytest.raises(ValidationError) as exc:
-        validate_config(ins, heston, AversionDistribution.from_lists(atoms["gamma"], atoms["prob"]), horizon)
-    assert exc.value.violations == [f"{name} must be finite, got {value}"]
+        validate_config(ins, heston, AversionDistribution(tuple(atoms["gamma"]), tuple(atoms["prob"])), horizon)
+    return exc.value.violations
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", NUMERIC_INPUTS)
+def test_each_non_finite_input_is_its_only_violation(name, value):
+    """No range check or check across fields reports a non-finite input a
+    second time, for any numeric input of an otherwise valid model."""
+    assert _violations_with(name, value) == [f"{name} must be finite, got {value}"]
+
+
+@pytest.mark.parametrize("value", [10 ** 400, -10 ** 400], ids=["10**400", "-10**400"])
+@pytest.mark.parametrize("name", NUMERIC_INPUTS)
+def test_each_int_past_the_float_range_is_its_only_violation(name, value):
+    """An int that float() refuses is a ValidationError naming its input, not
+    an OverflowError from a finiteness or range check."""
+    assert _violations_with(name, value) == [f"{name} must be finite, got an int past the float range"]
 
 
 def test_validate_config_idempotent():

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -287,6 +288,22 @@ def test_g2_step_is_compiled_on_the_first_solve_for_its_atom_count():
     src = os.path.dirname(os.path.dirname(eqreinvest.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_g2_is_held_in_one_float64_buffer():
+    """The solver's peak allocation is within 2.5x of the g2 it returns (8
+    bytes per state; a list of Python floats peaks near 6.6x), and g2 is the
+    C-contiguous float64 (n, M+1) array that probs @ g2 reads in row order."""
+    m = baseline_model("caseI", T=20.0, M=20000)
+    solve_g2_coupled(baseline_model("caseI", T=1.0, M=10))  # compile the step outside the trace
+    tracemalloc.start()
+    try:
+        g2 = solve_g2_coupled(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * g2.nbytes, peak / g2.nbytes
+    assert g2.dtype == np.float64 and g2.shape == (2, 20001) and g2.flags.c_contiguous
 
 
 def test_minimal_grid_runs():
