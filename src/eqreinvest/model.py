@@ -333,8 +333,9 @@ def validate_config(ins, heston, dist, horizon) -> ValidatedModel:
     one per input (a non-finite input is not also reported by its range
     check). Once the inputs are valid,
     the square of g1's largest magnitude max_i gamma_i e^{rT} must be
-    finite (g3's quadrature squares g1), and the grid and the g1, g2, g3
-    arrays ((3n+1)(M+1) float64 values) must fit in physical memory.
+    finite (g3's quadrature squares g1), and what odes.solve_g holds at its
+    peak must fit in physical memory: (6n+3)(M+1) float64 values, the grid,
+    g1, g2, g3 and the quadrature's temporaries.
     """
     non_finite = _non_finite(ins, heston, dist, horizon)
     reported = tuple(f"{name} " for name, _ in non_finite)
@@ -348,7 +349,7 @@ def validate_config(ins, heston, dist, horizon) -> ValidatedModel:
         if g1_square == np.inf:
             violations.append(f"(max gamma_i e^(rT))^2 must be finite (r = {heston.r}, T = {horizon.T})")
         too_big = memory_violation(f"M = {horizon.M}: the grid and the g arrays of {dist.n} atom(s)",
-                                   (3 * dist.n + 1) * (horizon.M + 1))
+                                   (6 * dist.n + 3) * (horizon.M + 1))
         violations += [too_big] if too_big else []
     if violations:
         raise ValidationError(violations)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from array import array
 from dataclasses import dataclass
 
@@ -148,11 +149,14 @@ def g2_right_side(heston: HestonParams):
 
 @functools.cache
 def _g2_integrator(n):
-    """The loop of solve_g2_coupled written out for n atoms, compiled on the
-    first solve with n atoms: the state is h0..h{n-1}, and the weighted
-    sums, PI_BAR and RIGHT_SIDE are inlined. Each step writes h{i} into row
-    i of one array("d") buffer of n * points values, from the end, so the
-    buffer is g2 on the t grid, atom-major, at 8 bytes per state."""
+    """The Python loop of solve_g2_coupled written out for n atoms, compiled
+    on the first solve with n atoms where the C loop cannot be loaded, and
+    the reference that the C loop is tested against: the state is
+    h0..h{n-1}, and the weighted sums, PI_BAR and RIGHT_SIDE are inlined
+    (per-atom lists, zips and calls cost more than the arithmetic). Each
+    step writes h{i} into row i of one array("d") buffer of n * points
+    values, from the end, so the buffer is g2 on the t grid, atom-major, at
+    8 bytes per state."""
     def each(template, sep="; "):
         return sep.join(template.format(i=i) for i in range(n))
 
@@ -192,6 +196,227 @@ def integrate({", ".join(ng + w)}, *, s_grid, xi, kappa, rs, half_s2, mean_gamma
 """, "integrate", array=array, math=math, BLOWUP_THRESHOLD=BLOWUP_THRESHOLD, BlowUpError=BlowUpError)
 
 
+# The loop of _g2_integrator in C, generic in the atom count: the same
+# float64 operations in the same order, RIGHT_SIDE and PI_BAR included as
+# macros from their texts (see _g2_library)
+_G2_C = r"""
+#include <math.h>
+
+/* CPython 3.11's math.fsum of three floats: 0 with the sum in *out, or 1
+   where math.fsum raises (-inf + inf, or an intermediate overflow) */
+static int fsum3(const double *items, double *out)
+{
+    double p[3], x, y, t, hi, yr, lo = 0.0, xsave, special_sum = 0.0, inf_sum = 0.0;
+    int i, j, k, n = 0;
+
+    for (k = 0; k < 3; k++) {
+        x = items[k];
+        xsave = x;
+        for (i = j = 0; j < n; j++) {
+            y = p[j];
+            if (fabs(x) < fabs(y)) {
+                t = x; x = y; y = t;
+            }
+            hi = x + y;
+            yr = hi - x;
+            lo = y - yr;
+            if (lo != 0.0)
+                p[i++] = lo;
+            x = hi;
+        }
+        n = i;
+        if (x != 0.0) {
+            if (!isfinite(x)) {
+                if (isfinite(xsave))
+                    return 1;
+                if (isinf(xsave))
+                    inf_sum += xsave;
+                special_sum += xsave;
+                n = 0;
+            }
+            else
+                p[n++] = x;
+        }
+    }
+    if (special_sum != 0.0) {
+        if (isnan(inf_sum))
+            return 1;
+        *out = special_sum;
+        return 0;
+    }
+    hi = 0.0;
+    if (n > 0) {
+        hi = p[--n];
+        while (n > 0) {
+            x = hi;
+            y = p[--n];
+            hi = x + y;
+            yr = hi - x;
+            lo = y - yr;
+            if (lo != 0.0)
+                break;
+        }
+        if (n > 0 && ((lo < 0.0 && p[n - 1] < 0.0) || (lo > 0.0 && p[n - 1] > 0.0))) {
+            y = lo * 2.0;
+            x = hi + y;
+            yr = x - hi;
+            if (y == yr)
+                hi = x;
+        }
+    }
+    *out = hi;
+    return 0;
+}
+
+/* model.weighted_sum of v and w: _FMA_STEP's Dekker two-product of v_i
+   and w_i (split by _SPLIT into w_hi, w_lo), then fsum3, or a plain add
+   where fsum3 fails */
+static double weighted_sum(long n, const double *v, const double *w, const double *w_hi,
+                           const double *w_lo)
+{
+    double acc = v[0] * w[0] + 0.0, c, v_hi, v_lo, items[3];
+    long i;
+
+    for (i = 1; i < n; i++) {
+        items[0] = v[i] * w[i];
+        c = 134217729.0 * v[i]; v_hi = c - (c - v[i]); v_lo = v[i] - v_hi;
+        items[1] = ((v_hi * w_hi[i] - items[0]) + v_hi * w_lo[i] + v_lo * w_hi[i]) + v_lo * w_lo[i];
+        items[2] = acc;
+        if (fsum3(items, &acc))
+            acc = items[0] + acc;
+    }
+    return acc;
+}
+
+/* n atoms with ng_i = -gamma_i and weights w_i; work holds 7n doubles, and
+   g2 (n rows of points zeros) receives each row from the end. Returns 0,
+   or the step after which some h_i is outside [-high, high] or nan, with
+   max |h_i| (inf if one is not finite) in *value. */
+long integrate(long n, const double *ng, const double *w, const double *s_grid, long points,
+               double xi, double kappa, double rs, double half_s2, double mean_gamma, double r,
+               double l, double half_l, double high, double *work, double *g2, double *value)
+{
+    double *h = work, *p = h + n, *f = p + n, *g = f + n, *g_next = g + n, *w_hi = g_next + n,
+           *w_lo = w_hi + n;
+    double s, c, growth, decay, decay_next, acc, pi_hat, pg;
+    long i, m, k;
+    int inside;
+
+    for (i = 1; i < n; i++) {
+        c = 134217729.0 * w[i]; w_hi[i] = c - (c - w[i]); w_lo[i] = w[i] - w_hi[i];
+    }
+    growth = exp(r * s_grid[0]);
+    for (i = 0; i < n; i++) {
+        h[i] = 0.0;
+        g[i] = ng[i] * growth;
+    }
+    decay = exp(-r * s_grid[0]);
+    for (m = 1; m < points; m++) {
+        s = s_grid[m];
+        growth = exp(r * s);
+        for (i = 0; i < n; i++)
+            g_next[i] = ng[i] * growth;
+        decay_next = exp(-r * s);
+        acc = weighted_sum(n, h, w, w_hi, w_lo);
+        pi_hat = PI_BAR(acc) * decay;
+        for (i = 0; i < n; i++) {
+            pg = pi_hat * g[i];
+            f[i] = RIGHT_SIDE(pg, h[i]);
+            p[i] = h[i] + l * f[i];
+        }
+        acc = weighted_sum(n, p, w, w_hi, w_lo);
+        pi_hat = PI_BAR(acc) * decay_next;
+        inside = 1;
+        for (i = 0; i < n; i++) {
+            pg = pi_hat * g_next[i];
+            h[i] = h[i] + half_l * (f[i] + (RIGHT_SIDE(pg, p[i])));
+            inside &= -high <= h[i] && h[i] <= high;
+        }
+        if (!inside) {
+            *value = 0.0;
+            for (i = 0; i < n; i++) {
+                if (!isfinite(h[i])) {
+                    *value = INFINITY;
+                    break;
+                }
+                if (fabs(h[i]) > *value)
+                    *value = fabs(h[i]);
+            }
+            return m;
+        }
+        k = points - 1 - m;
+        for (i = 0; i < n; i++) {
+            g2[k + i * points] = h[i];
+            g[i] = g_next[i];
+        }
+        decay = decay_next;
+    }
+    return 0;
+}
+"""
+_CC = ["cc", "-O2", "-fPIC", "-shared", "-ffp-contract=off"]
+
+
+@functools.cache
+def _g2_library():
+    """The C loop of _G2_C as a function with _g2_integrator(n)'s
+    signature for any n, or None where it cannot be built or loaded.
+
+    The library is built once per machine and kept as
+    $XDG_CACHE_HOME/eqreinvest/g2-<sha256 of source and command>.so (under
+    ~/.cache without XDG_CACHE_HOME). It is compiled in a temporary
+    directory beside it and moved into place, so concurrent first runs do
+    not read a half-written file.
+    """
+    import ctypes
+    import hashlib
+
+    source = (f"#define RIGHT_SIDE(pg, h) ({RIGHT_SIDE.format(pg='pg', h='h')})\n"
+              f"#define PI_BAR(w) ({PI_BAR.format(w='w')})\n{_G2_C}")
+    digest = hashlib.sha256(" ".join([*_CC, source]).encode()).hexdigest()
+    cache = os.path.join(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"), "eqreinvest")
+    path = os.path.join(cache, f"g2-{digest}.so")
+    try:
+        if not os.path.exists(path):
+            _compile(source, cache, path)
+        loop = ctypes.CDLL(path).integrate
+    except (OSError, AttributeError):  # no cc, a failed compile, or a cache not writable
+        return None
+    double, pointer = ctypes.c_double, ctypes.c_void_p
+    loop.restype = ctypes.c_long
+    loop.argtypes = [ctypes.c_long, pointer, pointer, pointer, ctypes.c_long, *[double] * 9,
+                     pointer, pointer, ctypes.POINTER(double)]
+
+    def integrate(*coeffs, s_grid, xi, kappa, rs, half_s2, mean_gamma, r, l, half_l):
+        n, grid = len(coeffs) // 2, np.frombuffer(s_grid)
+        coeffs, work, value = np.array(coeffs), np.empty(7 * n), double()
+        g2 = np.zeros(n * len(grid))
+        step = loop(n, coeffs.ctypes.data, coeffs[n:].ctypes.data, grid.ctypes.data, len(grid),
+                    xi, kappa, rs, half_s2, mean_gamma, r, l, half_l, BLOWUP_THRESHOLD,
+                    work.ctypes.data, g2.ctypes.data, ctypes.byref(value))
+        if step:
+            raise BlowUpError(step, value.value)
+        return g2
+    return integrate
+
+
+def _compile(source, cache, path):
+    """Build source into the shared library path, through a temporary
+    directory in cache; raises OSError when that cannot be done."""
+    import subprocess
+    import tempfile
+
+    os.makedirs(cache, exist_ok=True)
+    with tempfile.TemporaryDirectory(dir=cache) as tmp:
+        c_file, so_file = os.path.join(tmp, "g2.c"), os.path.join(tmp, "g2.so")
+        with open(c_file, "w", encoding="utf-8") as fh:
+            fh.write(source)
+        built = subprocess.run([*_CC, "-o", so_file, c_file, "-lm"], capture_output=True)
+        if built.returncode:
+            raise OSError(f"cc exited {built.returncode}: {built.stderr.decode(errors='replace')}")
+        os.replace(so_file, path)
+
+
 def solve_g2_coupled(model: ValidatedModel) -> np.ndarray:
     """Integrate the coupled g2 system with the modified Euler scheme.
 
@@ -205,19 +430,28 @@ def solve_g2_coupled(model: ValidatedModel) -> np.ndarray:
     BLOWUP_THRESHOLD (inf if any is not finite), found by one range test
     per atom and step.
 
-    The loop is generated for the model's atom count and compiled once per
-    count (_g2_integrator): the state lives in locals h0..h{n-1}, and the
-    weighted sums, PI_BAR and RIGHT_SIDE are written out inline, since
-    per-atom lists, zips and calls cost more than the arithmetic. Every
-    operation keeps the order and rounding of the array form (x * x, not
-    x ** 2, which goes through libm pow), and each weighted sum is the
+    Every operation keeps the order and rounding of the array form (x * x,
+    not x ** 2, which goes through libm pow), and each weighted sum is the
     atom-order fma of model.weighted_sum, which does not depend on the
     BLAS. e^{-rs} and g1(T - s) = -gamma_i e^{rs} (not g1_closed, which
     rounds T - (T - s)) are computed once per grid point and shared by the
     corrector that ends a step and the predictor that starts the next.
+
+    The loop runs as C (_G2_C), which writes the same bytes as the Python
+    loop of _g2_integrator: the same float64 operations in the same order,
+    with RIGHT_SIDE and PI_BAR included from their texts as macros; no
+    fused multiply-add (-ffp-contract=off) and no fast-math; glibc's exp,
+    the function math.exp calls (validation keeps gamma_i e^{rT} squarable,
+    so it cannot overflow); and CPython 3.11's math.fsum ported for the
+    three terms of each emulated fma, with the branches where it raises, so
+    that the plain-add fallback fires on the same inputs. _g2_library
+    builds it with cc on the first solve, once per machine, into
+    $XDG_CACHE_HOME/eqreinvest (~/.cache/eqreinvest without that variable).
+    The Python loop runs only where the C loop cannot be built or loaded:
+    no cc, a failed compile, or a cache that cannot be written.
     """
     hs, hz, dist = model.heston, model.horizon, model.dist
-    integrate = _g2_integrator(dist.n)
+    integrate = _g2_library() or _g2_integrator(dist.n)
     buf = integrate(*[-float(g) for g in dist.gammas], *map(float, dist.probs), **_constants(hs),
                     mean_gamma=model.dist.mean, r=hs.r, l=hz.l, half_l=0.5 * hz.l,
                     s_grid=memoryview(hz.grid()))  # same spacing forward in s as the t grid

@@ -1,8 +1,17 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
 
 from eqreinvest import AversionDistribution, solve_g
 from eqreinvest.presets import baseline_model
+
+# The first solve builds the C g2 loop into $XDG_CACHE_HOME/eqreinvest: a
+# directory of this session (removed at exit), which subprocesses inherit,
+# so a test run builds the loop once and never writes to the user's cache
+_CACHE = tempfile.TemporaryDirectory(prefix="eqreinvest-test-cache-")
+os.environ["XDG_CACHE_HOME"] = _CACHE.name
 
 
 @pytest.fixture(scope="session")

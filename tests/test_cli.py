@@ -182,7 +182,7 @@ def test_non_finite_config_value_is_exit_1(tmp_path, capsys, line, edited, name)
 
 
 def test_grid_beyond_physical_memory_is_exit_1(tmp_path, capsys):
-    """M = 10**15 would need (3n+1)(M+1) float64 values, petabytes: refused by
+    """M = 10**15 would need (6n+3)(M+1) float64 values, petabytes: refused by
     validation before anything is allocated."""
     p = tmp_path / "huge.cfg"
     p.write_text(BASE_CFG.replace("M = 2000", "M = 1000000000000000"), encoding="utf-8")

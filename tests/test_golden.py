@@ -232,6 +232,23 @@ def test_cli_outputs_match_golden_digests(tmp_path, command, case):
             _assert_digest(os.path.join(out, name), digest)
 
 
+def test_solve_without_a_c_compiler_matches_golden_digests(tmp_path):
+    """With no cc on PATH and an empty cache the C g2 loop cannot be built,
+    and the Python loop writes the same caseII files."""
+    cfg, out, cache, empty_path = (tmp_path / name for name in ("caseII.cfg", "out", "cache", "bin"))
+    cfg.write_text(CONFIG.format(probs=PROBS["caseII"], T=10, M=2000), encoding="utf-8")
+    empty_path.mkdir()
+    src = os.path.dirname(os.path.dirname(eqreinvest.__file__))
+    env = {**os.environ, "PATH": str(empty_path), "XDG_CACHE_HOME": str(cache),
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-m", "eqreinvest.cli", "solve", "--config", str(cfg), "--out", str(out)],
+                   env=env, check=True)
+    assert not any(name.endswith(".so") for _, _, names in os.walk(cache) for name in names)
+    for (command, case, name), digest in DIGESTS.items():
+        if (command, case) == ("solve", "caseII"):
+            _assert_digest(out / name, digest)
+
+
 @pytest.mark.parametrize("case", ["caseI", "caseII"])
 def test_solve_t100_matches_golden_digests(tmp_path, case):
     cfg = tmp_path / f"{case}.cfg"

@@ -241,7 +241,7 @@ def test_grid_beyond_physical_memory_is_a_validation_error(monkeypatch):
         validate_config(BASE_INSURANCE, BASE_HESTON, CASE_I, huge)
     monkeypatch.setattr(model_module, "physical_memory", lambda: None)  # unknown: not checked
     assert validate_config(BASE_INSURANCE, BASE_HESTON, CASE_I, huge).horizon.M == 10 ** 15
-    monkeypatch.setattr(model_module, "physical_memory", lambda: 8 * 7 * 1001)
-    validate_config(BASE_INSURANCE, BASE_HESTON, CASE_I, Horizon(T=10.0, M=1000))  # (3n+1)(M+1) values fit
+    monkeypatch.setattr(model_module, "physical_memory", lambda: 8 * 15 * 1001)
+    validate_config(BASE_INSURANCE, BASE_HESTON, CASE_I, Horizon(T=10.0, M=1000))  # (6n+3)(M+1) values fit
     with pytest.raises(ValidationError):
         validate_config(BASE_INSURANCE, BASE_HESTON, CASE_I, Horizon(T=10.0, M=1001))

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -12,8 +13,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import eqreinvest
-from eqreinvest import BlowUpError, RiccatiConstants, solve_g
-from eqreinvest.model import AversionDistribution, HestonParams, Horizon, validate_config
+from eqreinvest import BlowUpError, RiccatiConstants, odes, solve_g
+from eqreinvest import model as model_module
+from eqreinvest.model import AversionDistribution, HestonParams, Horizon, ValidationError, validate_config
 from eqreinvest.odes import (
     g1_closed,
     g2_closed_single,
@@ -271,23 +273,106 @@ def test_blow_up_step_and_value_match_pins(n, T, M, overrides):
     assert (exc.value.step, exc.value.value) == BLOW_UPS[(n, T, M, overrides)]
 
 
-def test_g2_step_is_compiled_on_the_first_solve_for_its_atom_count():
-    """Importing the CLI compiles no step, so start-up does not pay for it,
-    and two solves with one atom count compile one; a fresh interpreter,
-    since other tests have compiled steps in this one."""
-    code = """if True:
+# the C g2 loop is built with cc; without it only the Python loop runs
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+
+
+def _g2_outcome(model, python_loop):
+    """solve_g2_coupled's bytes, or its BlowUpError's (step, value), from the
+    C loop or, as where it cannot be built, the Python loop."""
+    with pytest.MonkeyPatch.context() as mp:
+        if python_loop:
+            mp.setattr(odes, "_g2_library", lambda: None)
+        else:
+            assert odes._g2_library() is not None
+        try:
+            return solve_g2_coupled(model).tobytes()
+        except BlowUpError as exc:
+            return exc.step, exc.value
+
+
+@needs_cc
+@pytest.mark.parametrize("pinned", [*G2_DIGESTS, *BLOW_UPS])
+def test_c_and_python_loops_match_the_pins(pinned):
+    n, T, M, overrides = pinned
+    m = baseline_model(_fixed_law(n), T=T, M=M, **dict(overrides))
+    c_loop, python_loop = _g2_outcome(m, python_loop=False), _g2_outcome(m, python_loop=True)
+    assert c_loop == python_loop
+    if pinned in BLOW_UPS:
+        assert python_loop == BLOW_UPS[pinned]
+    else:
+        assert hashlib.sha256(python_loop).hexdigest() == G2_DIGESTS[pinned]
+
+
+@st.composite
+def _market(draw):
+    """A valid config of 1-16 atoms on at most 2000 steps; the vol of vol
+    and xi reach the extremes of the BLOW_UPS pins, where the weighted
+    sums overflow."""
+    n = draw(st.integers(min_value=1, max_value=16))
+    gammas, probs = _law(draw, n)
+    sigma = draw(st.one_of(st.floats(1e-3, 3.0), st.floats(3.0, 1e100)))
+    kappa = draw(st.floats(1e-2, 50.0))
+    heston = HestonParams(
+        r=draw(st.floats(1e-4, 0.5)), xi=draw(st.one_of(st.floats(1e-3, 50.0), st.floats(1e-85, 1e-60))),
+        kappa=kappa, theta=sigma * sigma / kappa, sigma=sigma, rho=draw(st.floats(-1.0, 1.0)), v0=0.02)
+    horizon = Horizon(T=draw(st.floats(0.01, 50.0)), M=draw(st.integers(1, 2000)))
+    return validate_config(BASE_INSURANCE, heston, AversionDistribution.from_lists(gammas, probs), horizon)
+
+
+@needs_cc
+@given(_market())
+@settings(max_examples=200, deadline=None)
+def test_c_loop_matches_python_loop_bit_for_bit(model):
+    """Both loops write the same g2 bytes, or raise the same BlowUpError."""
+    assert _g2_outcome(model, python_loop=False) == _g2_outcome(model, python_loop=True)
+
+
+def _run_python(code, **env):
+    """Run code in a fresh interpreter that imports this package, with env
+    added to the environment."""
+    src = os.path.dirname(os.path.dirname(eqreinvest.__file__))
+    env = {**os.environ, **env,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+@needs_cc
+def test_g2_loop_is_loaded_once_on_the_first_solve():
+    """Importing the CLI loads no g2 loop, so start-up does not pay for it,
+    and solves with 2 and 3 atoms load the C loop once, compiling no Python
+    loop; a fresh interpreter, since other tests have solved in this one."""
+    _run_python("""if True:
         import eqreinvest.cli
         from eqreinvest import odes
+        from eqreinvest.model import AversionDistribution
         from eqreinvest.presets import baseline_model
-        assert odes._g2_integrator.cache_info().currsize == 0
-        for case in ("caseI", "caseII"):
+        assert odes._g2_library.cache_info().currsize == 0
+        for case in ("caseI", AversionDistribution.from_lists([0.5, 1.0, 4.0], [0.25, 0.5, 0.25])):
             odes.solve_g2_coupled(baseline_model(case, T=1.0, M=10))
-        info = odes._g2_integrator.cache_info()
+        info = odes._g2_library.cache_info()
         assert (info.currsize, info.misses, info.hits) == (1, 1, 1), info
+        assert odes._g2_integrator.cache_info().currsize == 0
+    """)
+
+
+@needs_cc
+def test_warm_cache_loads_the_c_loop_without_the_compiler(tmp_path):
+    """The first process builds one library into an empty cache; a second,
+    with no cc on its PATH, loads it from there."""
+    cache, empty_path = tmp_path / "cache", tmp_path / "bin"
+    empty_path.mkdir()
+    solve = """if True:
+        from eqreinvest import odes
+        from eqreinvest.presets import baseline_model
+        assert odes._g2_library() is not None
+        odes.solve_g2_coupled(baseline_model("caseII", T=1.0, M=10))
     """
-    src = os.path.dirname(os.path.dirname(eqreinvest.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    _run_python(solve, XDG_CACHE_HOME=str(cache))
+    built = os.listdir(cache / "eqreinvest")
+    assert len(built) == 1 and built[0].startswith("g2-") and built[0].endswith(".so"), built
+    _run_python(solve, XDG_CACHE_HOME=str(cache), PATH=str(empty_path))
+    assert os.listdir(cache / "eqreinvest") == built
 
 
 def test_g2_is_held_in_one_float64_buffer():
@@ -295,7 +380,7 @@ def test_g2_is_held_in_one_float64_buffer():
     bytes per state; a list of Python floats peaks near 6.6x), and g2 is the
     C-contiguous float64 (n, M+1) array that probs @ g2 reads in row order."""
     m = baseline_model("caseI", T=20.0, M=20000)
-    solve_g2_coupled(baseline_model("caseI", T=1.0, M=10))  # compile the step outside the trace
+    solve_g2_coupled(baseline_model("caseI", T=1.0, M=10))  # load the loop outside the trace
     tracemalloc.start()
     try:
         g2 = solve_g2_coupled(m)
@@ -304,6 +389,28 @@ def test_g2_is_held_in_one_float64_buffer():
         tracemalloc.stop()
     assert peak <= 2.5 * g2.nbytes, peak / g2.nbytes
     assert g2.dtype == np.float64 and g2.shape == (2, 20001) and g2.flags.c_contiguous
+
+
+@pytest.mark.parametrize("n", [1, 2, 6])
+def test_memory_guard_counts_what_solve_g_holds_at_its_peak(n, monkeypatch):
+    """validate_config refuses a grid once solve_g's tracemalloc peak is
+    more than 1% above physical memory, and accepts it at that peak: the
+    guard counts the quadrature's temporaries, not only the g arrays."""
+    law = _fixed_law(n)
+    horizon = Horizon(T=10.0, M=10000)
+    model = validate_config(BASE_INSURANCE, BASE_HESTON, law, horizon)
+    solve_g(baseline_model(law, T=1.0, M=10))  # load the loop outside the trace
+    tracemalloc.start()
+    try:
+        solve_g(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(model_module, "physical_memory", lambda: peak)
+    validate_config(BASE_INSURANCE, BASE_HESTON, law, horizon)
+    monkeypatch.setattr(model_module, "physical_memory", lambda: int(0.99 * peak))
+    with pytest.raises(ValidationError, match="physical memory"):
+        validate_config(BASE_INSURANCE, BASE_HESTON, law, horizon)
 
 
 def test_minimal_grid_runs():
