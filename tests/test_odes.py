@@ -307,8 +307,8 @@ def test_c_and_python_loops_match_the_pins(pinned):
 @st.composite
 def _market(draw):
     """A valid config of 1-16 atoms on at most 2000 steps; the vol of vol
-    and xi reach the extremes of the BLOW_UPS pins, where the weighted
-    sums overflow."""
+    and xi reach the extremes of the BLOW_UPS pins, whose weighted sums
+    meet inf and nan."""
     n = draw(st.integers(min_value=1, max_value=16))
     gammas, probs = _law(draw, n)
     sigma = draw(st.one_of(st.floats(1e-3, 3.0), st.floats(3.0, 1e100)))
