@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# the g2 solver's reduction lives in model, whose AversionDistribution.mean uses it too
-from .model import HestonParams, ValidatedModel, define, split_source, weighted_sum_source
+# the Python g2 loop sums with model's weighted_sum, as AversionDistribution.mean does
+from .model import HestonParams, ValidatedModel, weighted_sum
 
 BLOWUP_THRESHOLD = 1e8
 
@@ -110,12 +110,17 @@ def q_hat(model: ValidatedModel, t):
     return retention_ratio(model) * np.exp(-model.heston.r * (model.horizon.T - t))
 
 
-# The g2 formulas as expression text, each written once: pi_bar_path and
-# g2_right_side evaluate them on arrays, and the solver's step writes them
-# out inline for the model's atom count
-PI_BAR = "(xi + rs * {w}) / mean_gamma"
-RIGHT_SIDE = "xi * {pg} + 0.5 * ({pg} * {pg}) - kappa * {h} + half_s2 * ({h} * {h}) + rs * {pg} * {h}"
+# The g2 formulas as expression text, each written once: pi_bar_path,
+# g2_right_side and the Python g2 loop evaluate them through _formula, and
+# the C g2 loop includes them as macros
+PI_BAR = "(xi + rs * w) / mean_gamma"
+RIGHT_SIDE = "xi * pg + 0.5 * (pg * pg) - kappa * h + half_s2 * (h * h) + rs * pg * h"
 _compiled = functools.cache(lambda source: compile(source, "<eqreinvest formula>", "eval"))
+
+
+def _formula(params, text, names):
+    """The formula text as a function of params, with names as its constants."""
+    return eval(_compiled(f"lambda {params}: {text}"), names)
 
 
 def _constants(heston: HestonParams):
@@ -127,9 +132,8 @@ def _constants(heston: HestonParams):
 def pi_bar_path(model: ValidatedModel, g2) -> np.ndarray:
     """Undiscounted investment kernel pi_bar = (xi + rho*sigma*sum_j p_j g2_j) / E[gamma]
     on the grid, from g2 alone; pi_hat(t) = pi_bar(t) * e^{-r(T-t)}."""
-    weighted_g2 = np.asarray(model.dist.probs) @ g2
-    names = {**_constants(model.heston), "mean_gamma": model.dist.mean, "w": weighted_g2}
-    return eval(_compiled(PI_BAR.format(w="w")), names)
+    pi_bar = _formula("w", PI_BAR, {**_constants(model.heston), "mean_gamma": model.dist.mean})
+    return pi_bar(np.asarray(model.dist.probs) @ g2)
 
 
 def pi_hat_path(model: ValidatedModel, g2) -> np.ndarray:
@@ -144,59 +148,40 @@ def g2_right_side(heston: HestonParams):
     pg is pi_hat * g1 of the atom and h its g2; both may be floats or
     arrays. The atoms couple only through pi_hat (see PI_BAR).
     """
-    return eval(_compiled(f"lambda pg, h: {RIGHT_SIDE.format(pg='pg', h='h')}"), _constants(heston))
+    return _formula("pg, h", RIGHT_SIDE, _constants(heston))
 
 
-@functools.cache
-def _g2_integrator(n):
-    """The Python loop of solve_g2_coupled written out for n atoms, compiled
-    on the first solve with n atoms where the C loop cannot be loaded, and
-    the reference that the C loop is tested against: the state is
-    h0..h{n-1}, and the weighted sums, PI_BAR and RIGHT_SIDE are inlined
-    (per-atom lists, zips and calls cost more than the arithmetic). Each
-    step writes h{i} into row i of one array("d") buffer of n * points
-    values, from the end, so the buffer is g2 on the t grid, atom-major, at
-    8 bytes per state."""
-    def each(template, sep="; "):
-        return sep.join(template.format(i=i) for i in range(n))
-
-    h, p, ng, w = ([f"{x}{i}" for i in range(n)] for x in ("h", "p", "ng", "w"))
-    state = "(" + each("h{i}, ", "") + ")"
-    predictor = ("pg = pi_hat * g{i}; f{i} = " + RIGHT_SIDE.format(pg="pg", h="h{i}")
-                 + "; p{i} = h{i} + l * f{i}")
-    # the corrector's right side keeps its parentheses, or last bits move
-    corrector = ("pg = pi_hat * n{i}; h{i} = h{i} + half_l * (f{i} + ("
-                 + RIGHT_SIDE.format(pg="pg", h="p{i}") + "))")
-    step = [
-        "growth = exp(r * s); " + each("n{i} = ng{i} * growth"), "decay_next = exp(-r * s)",
-        *weighted_sum_source(h, w, "acc"), f"pi_hat = ({PI_BAR.format(w='acc')}) * decay",
-        each(predictor, "\n"),
-        *weighted_sum_source(p, w, "acc"), f"pi_hat = ({PI_BAR.format(w='acc')}) * decay_next",
-        each(corrector, "\n"),
-        f"if not ({each('low <= h{i} <= high', ' and ')}):  # nan fails too",
-        f"    h = {state}; value = max(map(abs, h)) if all(map(math.isfinite, h)) else math.inf",
-        "    raise BlowUpError(points - k, value)",
-        "k -= 1; buf[k] = h0" + "".join(f"; buf[k + o{i}] = h{i}" for i in range(1, n)),
-        "decay = decay_next; " + each("g{i} = n{i}"),
-    ]
-    body = "\n".join(step).replace("\n", "\n" + " " * 8)
-    return define(f"""
-def integrate({", ".join(ng + w)}, *, s_grid, xi, kappa, rs, half_s2, mean_gamma, r, l, half_l,
-              exp=math.exp, fsum=math.fsum, low=-BLOWUP_THRESHOLD, high=BLOWUP_THRESHOLD):
-    {"; ".join(split_source(w))}
-    {each("h{i} = 0.0")}
-    points = len(s_grid); k = points - 1  # k: the last index written in row 0
-    {"; ".join(f"o{i} = {i} * points" for i in range(1, n))}
-    buf = array("d", [0.0]) * ({n} * points)  # h(0) = 0 ends each row already
-    growth = exp(r * s_grid[0]); {each("g{i} = ng{i} * growth")}
-    decay = exp(-r * s_grid[0])
-    for s in s_grid[1:]:
-        {body}
+def _python_loop(*coeffs, s_grid, xi, kappa, rs, half_s2, mean_gamma, r, l, half_l):
+    """solve_g2_coupled's loop in plain Python, for any number n of atoms:
+    coeffs are ng_i = -gamma_i, then the weights p_i, and the state h is a
+    list of n floats. It runs where the C loop cannot be built or loaded,
+    and is the reference the C loop is tested against; it returns g2 in an
+    array("d") laid out as solve_g2_coupled describes."""
+    n, points = len(coeffs) // 2, len(s_grid)
+    ng, w = coeffs[:n], coeffs[n:]
+    names = {"xi": xi, "kappa": kappa, "rs": rs, "half_s2": half_s2, "mean_gamma": mean_gamma}
+    right_side, pi_bar = _formula("pg, h", RIGHT_SIDE, names), _formula("w", PI_BAR, names)
+    def g1_and_decay(s):  # g1(T - s) = -gamma_i e^{rs} of each atom, and e^{-rs}
+        growth = math.exp(r * s)
+        return [x * growth for x in ng], math.exp(-r * s)
+    buf = array("d", [0.0]) * (n * points)  # h(0) = 0 ends each row already
+    h = [0.0] * n
+    g, decay = g1_and_decay(s_grid[0])
+    for m in range(1, points):
+        g_next, decay_next = g1_and_decay(s_grid[m])
+        pi_hat = pi_bar(weighted_sum(h, w)) * decay
+        f = [right_side(pi_hat * gi, hi) for gi, hi in zip(g, h)]
+        p = [hi + l * fi for hi, fi in zip(h, f)]
+        pi_hat = pi_bar(weighted_sum(p, w)) * decay_next
+        h = [hi + half_l * (fi + right_side(pi_hat * gi, pi)) for hi, fi, gi, pi in zip(h, f, g_next, p)]
+        if not all(-BLOWUP_THRESHOLD <= x <= BLOWUP_THRESHOLD for x in h):  # nan fails too
+            raise BlowUpError(m, max(map(abs, h)) if all(map(math.isfinite, h)) else math.inf)
+        buf[points - 1 - m::points] = array("d", h)  # row i at points - 1 - m + i * points
+        g, decay = g_next, decay_next
     return buf
-""", "integrate", array=array, math=math, BLOWUP_THRESHOLD=BLOWUP_THRESHOLD, BlowUpError=BlowUpError)
 
 
-# The loop of _g2_integrator in C, generic in the atom count: the same
+# The loop of _python_loop in C, generic in the atom count: the same
 # float64 operations in the same order, RIGHT_SIDE and PI_BAR included as
 # macros from their texts (see _g2_library)
 _G2_C = r"""
@@ -268,9 +253,9 @@ static int fsum3(const double *items, double *out)
     return 0;
 }
 
-/* model.weighted_sum of v and w: _FMA_STEP's Dekker two-product of v_i
-   and w_i (split by _SPLIT into w_hi, w_lo), then fsum3, or a plain add
-   where fsum3 fails */
+/* model.weighted_sum of v and w: its Dekker two-product of v_i and w_i
+   (Veltkamp-split by 2^27 + 1 into halves, w's into w_hi, w_lo), then
+   fsum3, or a plain add where fsum3 fails */
 static double weighted_sum(long n, const double *v, const double *w, const double *w_hi,
                            const double *w_lo)
 {
@@ -359,8 +344,8 @@ _CC = ["cc", "-O2", "-fPIC", "-shared", "-ffp-contract=off"]
 
 @functools.cache
 def _g2_library():
-    """The C loop of _G2_C as a function with _g2_integrator(n)'s
-    signature for any n, or None where it cannot be built or loaded.
+    """The C loop of _G2_C as a function with _python_loop's signature,
+    or None where it cannot be built or loaded.
 
     The library is built once per machine and kept as
     $XDG_CACHE_HOME/eqreinvest/g2-<sha256 of source and command>.so (under
@@ -371,14 +356,13 @@ def _g2_library():
     import ctypes
     import hashlib
 
-    source = (f"#define RIGHT_SIDE(pg, h) ({RIGHT_SIDE.format(pg='pg', h='h')})\n"
-              f"#define PI_BAR(w) ({PI_BAR.format(w='w')})\n{_G2_C}")
+    source = f"#define RIGHT_SIDE(pg, h) ({RIGHT_SIDE})\n#define PI_BAR(w) ({PI_BAR})\n{_G2_C}"
     digest = hashlib.sha256(" ".join([*_CC, source]).encode()).hexdigest()
     cache = os.path.join(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"), "eqreinvest")
     path = os.path.join(cache, f"g2-{digest}.so")
     try:
         if not os.path.exists(path):
-            _compile(source, cache, path)
+            _build(source, cache, path)
         loop = ctypes.CDLL(path).integrate
     except (OSError, AttributeError):  # no cc, a failed compile, or a cache not writable
         return None
@@ -400,7 +384,7 @@ def _g2_library():
     return integrate
 
 
-def _compile(source, cache, path):
+def _build(source, cache, path):
     """Build source into the shared library path, through a temporary
     directory in cache; raises OSError when that cannot be done."""
     import subprocess
@@ -437,21 +421,21 @@ def solve_g2_coupled(model: ValidatedModel) -> np.ndarray:
     rounds T - (T - s)) are computed once per grid point and shared by the
     corrector that ends a step and the predictor that starts the next.
 
-    The loop runs as C (_G2_C), which writes the same bytes as the Python
-    loop of _g2_integrator: the same float64 operations in the same order,
-    with RIGHT_SIDE and PI_BAR included from their texts as macros; no
-    fused multiply-add (-ffp-contract=off) and no fast-math; glibc's exp,
-    the function math.exp calls (validation keeps gamma_i e^{rT} squarable,
-    so it cannot overflow); and CPython 3.11's math.fsum ported for the
-    three terms of each emulated fma, with the branches where it raises, so
-    that the plain-add fallback fires on the same inputs. _g2_library
-    builds it with cc on the first solve, once per machine, into
-    $XDG_CACHE_HOME/eqreinvest (~/.cache/eqreinvest without that variable).
-    The Python loop runs only where the C loop cannot be built or loaded:
-    no cc, a failed compile, or a cache that cannot be written.
+    The loop runs as C (_G2_C), which writes the same bytes as the plain
+    Python loop _python_loop: the same float64 operations in the same
+    order, with RIGHT_SIDE and PI_BAR included from their texts as macros;
+    no fused multiply-add (-ffp-contract=off) and no fast-math; glibc's
+    exp, the function math.exp calls (validation keeps gamma_i e^{rT}
+    squarable, so it cannot overflow); and CPython 3.11's math.fsum ported
+    for the three terms of each emulated fma, with the branches where it
+    raises, so that the plain-add fallback fires on the same inputs.
+    _g2_library builds it with cc on the first solve, once per machine,
+    into $XDG_CACHE_HOME/eqreinvest (~/.cache/eqreinvest without that
+    variable). _python_loop runs only where the C loop cannot be built or
+    loaded: no cc, a failed compile, or a cache that cannot be written.
     """
     hs, hz, dist = model.heston, model.horizon, model.dist
-    integrate = _g2_library() or _g2_integrator(dist.n)
+    integrate = _g2_library() or _python_loop
     buf = integrate(*[-float(g) for g in dist.gammas], *map(float, dist.probs), **_constants(hs),
                     mean_gamma=model.dist.mean, r=hs.r, l=hz.l, half_l=0.5 * hz.l,
                     s_grid=memoryview(hz.grid()))  # same spacing forward in s as the t grid

@@ -33,6 +33,7 @@ from eqreinvest.strategy import (
     equilibrium_strategy,
     q_hat,
     sensitivity_signs,
+    value_function,
 )
 
 
@@ -261,9 +262,9 @@ def test_criterion_08_monte_carlo_sanity(report):
     res = estimate_reward(mf, bf)
     devs = []
     ok_fk = True
-    for i, gamma in enumerate(mf.dist.gammas):
-        expo = gsol.g1[i, 0] * mf.horizon.x0 + gsol.g2[i, 0] * mf.heston.v0 + gsol.g3[i, 0]
-        predicted = -math.exp(expo) / gamma
+    surface = value_function(mf, gsol)
+    for i in range(mf.dist.n):
+        predicted = surface.atom_value(0.0, mf.horizon.x0, mf.heston.v0, i)
         z = abs(res.utility_mean[i] - predicted) / res.utility_se[i]
         devs.append(z)
         ok_fk = ok_fk and z <= 3.0

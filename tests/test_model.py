@@ -212,6 +212,7 @@ def test_weighted_sum_zero_sums_are_positive_zero():
     assert math.copysign(1.0, weighted_sum([-0.0], [1.0])) == 1.0
     assert math.copysign(1.0, weighted_sum([-0.0, -0.0], [1.0, 1.0])) == 1.0
     assert math.copysign(1.0, weighted_sum([-0.5, 0.5], [0.5, 0.5])) == 1.0
+    assert math.copysign(1.0, weighted_sum([], [])) == 1.0
 
 
 def test_weighted_sum_outside_the_domain_does_not_raise():

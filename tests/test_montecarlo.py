@@ -19,7 +19,7 @@ from eqreinvest import (
 from eqreinvest.montecarlo import CHUNK_SIZE, worker_count
 from eqreinvest.model import AversionDistribution, Horizon, validate_config, weighted_sum
 from eqreinvest.presets import BASE_HESTON, BASE_INSURANCE, baseline_model
-from eqreinvest.strategy import equilibrium_strategy
+from eqreinvest.strategy import equilibrium_strategy, value_function
 
 
 @pytest.fixture
@@ -189,9 +189,9 @@ def test_feynman_kac_consistency():
     gsol = solve_g(m)
     batch = simulate_paths(m, equilibrium_strategy(m, gsol.g2), n_paths=40000, seed=21)
     res = estimate_reward(m, batch)
-    for i, gamma in enumerate(m.dist.gammas):
-        expo = gsol.g1[i, 0] * m.horizon.x0 + gsol.g2[i, 0] * m.heston.v0 + gsol.g3[i, 0]
-        predicted = -math.exp(expo) / gamma
+    surface = value_function(m, gsol)
+    for i in range(m.dist.n):
+        predicted = surface.atom_value(0.0, m.horizon.x0, m.heston.v0, i)
         assert abs(res.utility_mean[i] - predicted) < 4.0 * res.utility_se[i] + 1e-6
 
 

@@ -407,8 +407,8 @@ def _run_python(code, **env):
 @needs_cc
 def test_g2_loop_is_loaded_once_on_the_first_solve():
     """Importing the CLI loads no g2 loop, so start-up does not pay for it,
-    and solves with 2 and 3 atoms load the C loop once, compiling no Python
-    loop; a fresh interpreter, since other tests have solved in this one."""
+    and solves with 2 and 3 atoms load the C loop once; a fresh
+    interpreter, since other tests have solved in this one."""
     _run_python("""if True:
         import eqreinvest.cli
         from eqreinvest import odes
@@ -419,7 +419,6 @@ def test_g2_loop_is_loaded_once_on_the_first_solve():
             odes.solve_g2_coupled(baseline_model(case, T=1.0, M=10))
         info = odes._g2_library.cache_info()
         assert (info.currsize, info.misses, info.hits) == (1, 1, 1), info
-        assert odes._g2_integrator.cache_info().currsize == 0
     """)
 
 
