@@ -1,23 +1,29 @@
 """CSV emission: UTF-8, comma-separated, header row, LF line endings,
 17-significant-digit decimals.
 
-Floats are printed as "%.17g" would print them, by fmt17: exact integer
-arithmetic in numpy, a column at a time. Every file is a table of
-write_table: its rows are (outer, inner) index pairs, its columns arrays
-whose shapes broadcast to (outer, inner): constants, values per inner
-index, values per outer index, or a value per row. Lines are
-built BLOCK_ROWS rows at a time, as write_csv reads them, from char matrices
-(one row of UTF-8 bytes per value, NUL-padded); a value shared by many rows
-(a grid time, an atom's gamma, a constant column) is formatted once."""
+Every file is a table of write_table: its rows are (outer, inner) index
+pairs, its columns arrays whose shapes broadcast to (outer, inner):
+constants, values per inner index, values per outer index, or a value per
+row. Every value is printed by fmt, floats as "%.17g". The rows are built
+in C (_CSV_C), BLOCK_ROWS at a time, as write_csv reads them: a float64
+column is read in place through its strides (0 along a broadcast axis),
+and any other column is formatted once by fmt and passed as NUL-padded
+text. Its fmt17 prints a double by exact integer arithmetic, locale-free,
+and reports the values off its exact path, which Python prints with
+"%.17g". Where the library cannot be built or loaded, fmt of each value
+is joined in Python, with the same bytes."""
 
 from __future__ import annotations
 
 import functools
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 
 import numpy as np
 
+from . import native
+
 BLOCK_ROWS = 2048  # lines built, and joined for writing, at a time
+FAST_MIN, FAST_MAX = -11, 14  # the decimal exponents of fmt17's exact path
 
 
 def fmt(value):
@@ -26,223 +32,209 @@ def fmt(value):
     return str(value)
 
 
-# ----------------------------------------------------------- exact "%.17g"
-#
 # A finite double x = m 2^e (m < 2^53) with decimal exponent E, 10^E <= |x| <
 # 10^(E+1), prints as the 17 digits of D = round-half-even(|x| 10^(16-E)).
 # For E in [FAST_MIN, FAST_MAX], k = 16 - E is in [2, 27], so 5^k < 2^64 and
 # |x| 10^k = m 5^k 2^(e+k) is an integer product of at most 116 bits shifted
-# right: 2^(e+k) = |x| 10^k / (m 5^k) < 10^17 / (2^52 5^2) < 1.
-# E is first taken from log10 and then decided on that exact product, since
-# log10 may round a value just below a power of ten up to it (the double
-# nearest 1e-06 prints as 9.9999999999999995e-07). The text is gathered from
-# the digits by a layout template chosen by sign, E and significant digits.
-# Every other value (zeros, nan, inf, subnormals, |x| < 1e-11, |x| >= 1e15)
-# goes through "%.17g" itself.
+# right by 1 to 62 bits. E is first estimated from e and then decided on that
+# product, against 10^16 and 10^17: the double nearest 1e-06 lies below it
+# and prints as 9.9999999999999995e-07. D < 10^17, since no double of the
+# range lies within half a 17th-digit unit below a power of ten. The text
+# is laid out as %g does: fixed notation for E >= -4, d.ddde-XX below, with
+# trailing zeros and a bare point dropped.
+_CSV_C = r"""
+#include <math.h>
+#include <string.h>
 
-FAST_MIN, FAST_MAX = -11, 14
-WIDTH = 24  # the longest "%.17g": -2.2250738585072014e-308
-_M32 = np.uint64(0xFFFFFFFF)
-_HALF = np.uint64(1 << 63)
-# bytes of a value's source row: its first digit, digits 1-16 in four
-# 4-digit groups, then constant characters
-_DIGIT = [0] + list(range(4, 20))
-_NUL, _DOT, _E, _MINUS, _ZERO = 20, 21, 22, 23, 24
-_CONSTANTS = b"\0.e-0123456789\0\0"
-_DECADES = FAST_MAX + 1 - FAST_MIN
+typedef unsigned long long u64;
+static const u64 pow5[28] = {POW5};
+static const char pairs[] = PAIRS;  /* "00" to "99" */
 
+/* "%.17g" of x into s for zeros, nan (any sign), the infinities and the
+   exact path; returns the length, or 0 for any other x. It writes with
+   fixed-size copies, up to 33 bytes from s, past the text's end. */
+static int fmt17(double x, char *s)
+{
+    u64 bits, m, d, rest, half;
+    unsigned __int128 product;
+    unsigned high, low;
+    int e, E, shift, keep, i, n = 0;
+    char digit[32];  /* the 17 digits, and room for a fixed-size read */
 
-def _key(neg, E, keep):
-    """Row of the layout template of a value with sign neg, decade E and
-    keep significant digits (1-17); ints or arrays."""
-    return (neg * _DECADES + (E - FAST_MIN)) * 18 + keep
+    memcpy(&bits, &x, 8);
+    if (isnan(x)) {
+        memcpy(s, "nan", 3);
+        return 3;
+    }
+    if (bits >> 63)
+        s[n++] = '-';
+    if (isinf(x)) {
+        memcpy(s + n, "inf", 3);
+        return n + 3;
+    }
+    if (x == 0.0) {
+        s[n++] = '0';
+        return n;
+    }
+    if (!(fabs(x) >= 1e-11 && fabs(x) < 1e15))
+        return 0;
+    m = (bits & ((1ull << 52) - 1)) | 1ull << 52;
+    e = (int)(bits >> 52 & 0x7FF) - 1075;
+    E = (e + 52) * 78913 >> 18;  /* floor((e + 52) log10 2): E or E - 1 */
+    E = E < FAST_MIN ? FAST_MIN : E > FAST_MAX ? FAST_MAX : E;
+    for (;;) {
+        shift = -(e + 16 - E);
+        product = (unsigned __int128)m * pow5[16 - E];
+        d = (u64)(product >> shift);
+        if (d < 10000000000000000ull && --E < FAST_MIN)
+            return 0;
+        if (d >= 100000000000000000ull && ++E > FAST_MAX)
+            return 0;
+        if (d >= 10000000000000000ull && d < 100000000000000000ull)
+            break;
+    }
+    rest = (u64)product & ((1ull << shift) - 1);
+    half = 1ull << (shift - 1);
+    d += rest > half || (rest == half && (d & 1));
+    high = d / 100000000;
+    low = d % 100000000;
+    for (i = 0; i < 4; i++, high /= 100, low /= 100) {
+        memcpy(digit + 15 - 2 * i, pairs + 2 * (low % 100), 2);
+        memcpy(digit + 7 - 2 * i, pairs + 2 * (high % 100), 2);
+    }
+    digit[0] = '0' + high;
+    for (keep = 17; digit[keep - 1] == '0'; keep--)
+        ;
+    if (E < -4) {
+        s[n] = digit[0];
+        s[n + 1] = '.';
+        memcpy(s + n + 2, digit + 1, 16);
+        n += keep > 1 ? keep + 1 : 1;
+        memcpy(s + n, "e-", 2);
+        s[n + 2] = '0' + -E / 10;
+        s[n + 3] = '0' + -E % 10;
+        return n + 4;
+    }
+    if (E < 0) {
+        memcpy(s + n, "0.000000", 8);
+        memcpy(s + n + 1 - E, digit, 17);
+        return n + 1 - E + keep;
+    }
+    memcpy(s + n, digit, 16);
+    s[n + E + 1] = '.';
+    memcpy(s + n + E + 2, digit + E + 1, 16);
+    return n + (keep > E + 1 ? keep + 1 : E + 1);
+}
+
+/* Rows r0 to r1 - 1 of a table of ncols columns into out, the fields joined
+   by commas and each row ended by LF (no rows without columns). Row r is
+   (i, j) = (r / inner, r % inner), and column c's value there is at base[c] + i * outer_step[c]
+   + j * inner_step[c]: a double where width[c] is 0, else width[c] bytes
+   of text, NUL-padded. A double off fmt17's path leaves its place empty,
+   and its offset in out and its value go to off_at and off_value, their
+   count to *n_off. out holds 33 bytes more than the rows. Returns the
+   bytes written. */
+long rows(long ncols, const char *const *base, const long *outer_step, const long *inner_step,
+          const long *width, long inner, long r0, long r1, char *out, long *off_at,
+          double *off_value, long *n_off)
+{
+    long r, c, i, j, w, n = 0, off = 0;
+    const char *p;
+    double x;
+    int length;
+
+    i = r0 / inner;
+    j = r0 % inner;
+    for (r = r0; r < r1 && ncols; r++, j = j + 1 < inner ? j + 1 : (i++, 0)) {
+        for (c = 0; c < ncols; c++) {
+            p = base[c] + i * outer_step[c] + j * inner_step[c];
+            if (width[c]) {
+                for (w = 0; w < width[c] && p[w]; w++)
+                    out[n++] = p[w];
+            } else {
+                memcpy(&x, p, 8);
+                length = fmt17(x, out + n);
+                if (!length) {
+                    off_at[off] = n;
+                    off_value[off++] = x;
+                }
+                n += length;
+            }
+            out[n++] = ',';
+        }
+        out[n - 1] = '\n';
+    }
+    *n_off = off;
+    return n;
+}
+"""
 
 
 @functools.cache
-def _tables():
-    """Built at first use: 5^k for k = 0..27; the characters (as one uint32)
-    and the trailing zeros of each 4-digit group; and the layout templates,
-    with their lengths."""
-    pow5 = np.array([5 ** k for k in range(28)], dtype=np.uint64)
-    v = np.arange(10000, dtype=np.uint16)
-    chars = np.stack([v // 1000, v // 100 % 10, v // 10 % 10, v % 10], axis=1).astype(np.uint8) + 48
-    tz = sum((v % 10 ** j == 0).astype(np.uint8) for j in (1, 2, 3, 4))
-    templates = np.full((_key(2, FAST_MIN, 0), WIDTH), _NUL, dtype=np.uint8)
-    lengths = np.zeros(len(templates), np.int64)
-    for neg in (0, 1):
-        for E in range(FAST_MIN, FAST_MIN + _DECADES):
-            for keep in range(1, 18):
-                layout = _layout(neg, E, keep)
-                templates[_key(neg, E, keep), :len(layout)] = layout
-                lengths[_key(neg, E, keep)] = len(layout)
-    return pow5, chars.view(np.uint32).ravel(), tz, templates, lengths
+def _library():
+    """The lines of a table from the C rows of _CSV_C, as a function of
+    (columns, outer, inner), or None where native.load cannot build or
+    load them."""
+    pow5, pairs = ", ".join(str(5 ** k) for k in range(28)), "".join(f"{k:02d}" for k in range(100))
+    lib = native.load("csv", f"#define POW5 {pow5}\n#define PAIRS \"{pairs}\"\n#define FAST_MIN ({FAST_MIN})\n"
+                             f"#define FAST_MAX {FAST_MAX}\n{_CSV_C}")
+    if lib is None:
+        return None
+    import ctypes
 
+    rows, pointer, long = lib.rows, ctypes.c_void_p, ctypes.c_long
+    rows.restype = long
+    rows.argtypes = [long, *[pointer] * 4, long, long, long, *[pointer] * 4]
 
-def _layout(neg, E, keep):
-    """Source bytes of "%.17g" of a value with decimal exponent E whose 17
-    digits end in 17 - keep zeros: fixed notation for -4 <= E <= 16 (zeros
-    after the point and a bare point dropped), d.ddde-XX below."""
-    sign = [_MINUS] if neg else []
-    if E < -4:
-        mantissa = [_DIGIT[0]] + ([_DOT] + _DIGIT[1:keep] if keep > 1 else [])
-        return sign + mantissa + [_E, _MINUS, _ZERO + -E // 10, _ZERO + -E % 10]
-    if E < 0:
-        return sign + [_ZERO, _DOT] + [_ZERO] * (-E - 1) + _DIGIT[:keep]
-    fraction = _DIGIT[E + 1:keep]
-    return sign + _DIGIT[:E + 1] + ([_DOT] + fraction if fraction else [])
+    def lines(columns, outer, inner):
+        fields = [np.asarray(c, np.float64) if c.dtype.kind == "f" else _text(c) for c in columns]
+        base = np.array([f.ctypes.data for f in fields], np.uintp)
+        outer_step, inner_step = (np.array([f.strides[a] * (f.shape[a] > 1) for f in fields], np.int64)
+                                  for a in (0, 1))
+        width = np.array([0 if f.dtype.kind == "f" else f.itemsize for f in fields], np.int64)
+        size, count = BLOCK_ROWS, long()
+        out = np.empty(size * int(np.where(width, width, 24).sum() + len(fields)) + 33, np.uint8)
+        off_at, off_value = np.empty(size * len(fields), np.int64), np.empty(size * len(fields))
 
-
-def _scaled(m, e, k, pow5):
-    """(floor, round-half-even) of |x| 10^k = m 5^k 2^(e+k), exactly, for
-    k in [2, 27]; both fit in 64 bits where 10^(16-k) <= |x| < 10^(17-k)."""
-    p = pow5[k]
-    m0, m1 = m & _M32, m >> 32
-    p0, p1 = p & _M32, p >> 32
-    a = m0 * p0
-    mid = m0 * p1 + m1 * p0 + (a >> 32)  # below 2^63 + 2^53 + 2^32
-    high = m1 * p1 + (mid >> 32)
-    low = m * p  # m 5^k = high 2^64 + low; uint64 products wrap
-    s = -(e + k)  # |x| 10^k = (m 5^k) 2^-s, s in [1, 62] on the exact path
-    sr = np.clip(s, 1, 63).astype(np.uint64)
-    floor = (high << (64 - sr)) | (low >> sr)
-    dropped = low << (64 - sr)  # the bits shifted out, at the top: 2^63 is a half
-    rounded = floor + ((dropped > _HALF) | ((dropped == _HALF) & (floor & 1).astype(bool)))
-    return floor, rounded
-
-
-def fmt17(values):
-    """Char matrix of "%.17g" % x for each x of a float array: row i holds
-    the text of values[i], NUL-padded to the longest text. Large arrays
-    are done BLOCK_ROWS values at a time."""
-    x = np.ascontiguousarray(values, dtype=np.float64).ravel()
-    if len(x) <= BLOCK_ROWS:
-        return _fmt17_block(x)
-    out = np.zeros((len(x), WIDTH), np.uint8)
-    for a in range(0, len(x), BLOCK_ROWS):
-        block = _fmt17_block(x[a:a + BLOCK_ROWS])
-        out[a:a + len(block), :block.shape[1]] = block
-    return out
-
-
-def _fmt17_block(x):
-    pow5, chars, tz, templates, lengths = _tables()
-    fast, E, d = _decimal(x, pow5)
-    src, keep = _digit_bytes(d, chars, tz)
-    key = _key(np.signbit(x), E, keep)
-    slow = np.flatnonzero(~fast)
-    key[slow] = _key(0, 0, 1)
-    width = lengths.take(key).max(initial=1)
-    if slow.size:  # through "%.17g" itself
-        texts = text_column(["%.17g" % v for v in x[slow].tolist()])
-        width = max(width, texts.shape[1])
-    index = templates[:, :width].take(key, axis=0) + np.arange(0, src.size, src.shape[1])[:, None]
-    out = src.ravel().take(index)
-    if slow.size:
-        out[slow] = 0
-        out[slow, :texts.shape[1]] = texts
-    return out
-
-
-def _decimal(x, pow5):
-    """(fast, E, d): whether each value takes the exact path, its decimal
-    exponent, and its 17 digits as one integer d, 10^16 <= d < 10^17
-    (10^16 where not fast)."""
-    bits = x.view(np.uint64)
-    ax = np.abs(x)
-    fast = (ax >= 1e-11) & (ax < 1e15)  # E in [-12, 14]; nan fails both
-    m = (bits & np.uint64((1 << 52) - 1)) | np.uint64(1 << 52)
-    e = ((bits >> 52) & 0x7FF).astype(np.int64) - 1075
-    with np.errstate(divide="ignore"):
-        E = np.floor(np.log10(np.where(fast, ax, 1.0)))
-    E = np.clip(E, FAST_MIN, FAST_MAX).astype(np.int64)
-    floor, d = _scaled(m, e, 16 - E, pow5)
-    off = fast & ((floor < 10 ** 16) | (floor >= 10 ** 17))  # E off by one
-    if off.any():
-        i = np.flatnonzero(off)
-        E[i] += np.where(floor[i] >= 10 ** 17, 1, -1)
-        inside = (E[i] >= FAST_MIN) & (E[i] <= FAST_MAX)
-        fast[i[~inside]] = False
-        i = i[inside]
-        d[i] = _scaled(m[i], e[i], 16 - E[i], pow5)[1]
-    # d < 10^17: no double of the range lies within half a 17th-digit unit
-    # below a power of ten (the powers-of-ten test checks each one)
-    return fast, E, np.where(fast, d, 10 ** 16).astype(np.int64)
-
-
-def _digit_bytes(d, chars, tz):
-    """(src, keep): a row of bytes per d, its first digit, its other 16
-    digits (see _DIGIT) and _CONSTANTS; and its significant digits, 17
-    less its trailing zeros."""
-    lead, rest = np.divmod(d, 10 ** 16)
-    groups = np.empty((len(d), 4), np.int64)
-    hi, lo = np.divmod(rest, 10 ** 8)
-    groups[:, 0], groups[:, 1] = np.divmod(hi, 10 ** 4)
-    groups[:, 2], groups[:, 3] = np.divmod(lo, 10 ** 4)
-    zeros = tz.take(groups[:, 3]).astype(np.int64)
-    short = np.flatnonzero(groups[:, 3] == 0)
-    if short.size:
-        more = tz.take(groups[short, 0]).astype(np.int64)
-        for j in (1, 2):
-            more = tz.take(groups[short, j]) + (groups[short, j] == 0) * more
-        zeros[short] += more
-    src = np.empty((len(d), 9), np.uint32)
-    src[:, 1:5] = chars.take(groups)
-    src[:, 5:] = np.frombuffer(_CONSTANTS, np.uint32)
-    src = src.view(np.uint8)
-    src[:, 0] = lead + 48
-    return src, 17 - zeros
-
-
-# ------------------------------------------------------------ tables
-
-def text_column(strings):
-    """Char matrix of strings: the UTF-8 bytes of each in a row, NUL-padded."""
-    encoded = np.array([s.encode() for s in strings], dtype=bytes)
-    return encoded.view(np.uint8).reshape(len(encoded), -1)
-
-
-def _chars(values):
-    """Char matrix of fmt of each value of a 1-D array: fmt17 for floats,
-    the code points themselves for ASCII str, fmt of each value otherwise."""
-    if values.dtype.kind == "f":
-        return fmt17(values)
-    if values.dtype.kind == "U":
-        codes = np.ascontiguousarray(values).view(np.uint32).reshape(values.size, -1)
-        if codes.max(initial=0) < 128:  # UTF-8 of ASCII is its code point
-            return codes.astype(np.uint8)
-    return text_column([fmt(v) for v in values.tolist()])
-
-
-def _lines(n, fields):
-    """The n lines of one block, without their LF: the rows of the fields'
-    char matrices joined by commas, NULs dropped. A field has a row per
-    line, or one row that every line shares."""
-    buf = np.empty((n, sum(f.shape[1] + 1 for f in fields)), np.uint8)
-    at = 0
-    for f in fields:
-        buf[:, at:at + f.shape[1]] = f
-        buf[:, at + f.shape[1]] = 44  # ","
-        at += f.shape[1] + 1
-    buf[:, -1] = 10  # LF ends each line, not a comma
-    lines = buf[buf != 0].tobytes().decode("utf-8").split("\n")
-    lines.pop()
+        def block(r0):
+            n = rows(len(fields), base.ctypes.data, outer_step.ctypes.data, inner_step.ctypes.data,
+                     width.ctypes.data, inner, r0, min(r0 + size, outer * inner), out.ctypes.data,
+                     off_at.ctypes.data, off_value.ctypes.data, ctypes.byref(count))
+            data, at = memoryview(out)[:n], 0
+            if count.value:  # the values off fmt17's path, through "%.17g" itself
+                pieces = []
+                for k, v in zip(off_at[:count.value].tolist(), off_value[:count.value].tolist()):
+                    pieces += [data[at:k], b"%.17g" % v]
+                    at = k
+                data = b"".join([*pieces, data[at:]])
+            text = str(data, "utf-8").split("\n")
+            text.pop()
+            return text
+        return chain.from_iterable(map(block, range(0, outer * inner, size)))
     return lines
 
 
-def _field(values):
-    """field(i0, i1, j0, j1): the char matrix of a 2-D column (1 or outer
-    rows, 1 or inner columns) over the rows of outer indices [i0, i1) and
-    inner indices [j0, j1). A column that does not vary along outer is
-    formatted once; the others a block at a time."""
-    rows, cols = values.shape
-    if rows == 1:
-        chars = _chars(values[0])
-        if cols == 1:  # one row that every line shares
-            return lambda i0, i1, j0, j1: chars
-        return lambda i0, i1, j0, j1: np.tile(chars[j0:j1], (i1 - i0, 1))
-    if cols == 1:  # a block holds whole outer rows, or lies in one
-        return lambda i0, i1, j0, j1: np.repeat(_chars(values[i0:i1, 0]), j1 - j0, axis=0)
-    return lambda i0, i1, j0, j1: _chars(values[i0:i1, j0:j1].ravel())
+def _text(column):
+    """fmt of each value of a column as NUL-padded UTF-8, in its shape."""
+    if column.dtype.kind == "U":
+        codes = np.ascontiguousarray(column).view(np.uint32)
+        if codes.max(initial=0) < 128:  # ASCII, whose UTF-8 bytes are its code points
+            return codes.astype(np.uint8).view(f"S{column.itemsize // 4}").reshape(column.shape)
+    return np.array([fmt(v).encode() for v in column.ravel().tolist()], bytes).reshape(column.shape)
+
+
+def _fmt_lines(columns, outer, inner):
+    """The lines of a table as fmt of each value, joined by commas."""
+    for i in range(outer):
+        fields = [c[min(i, len(c) - 1)].tolist() for c in columns]
+        yield from map(",".join, zip(*[map(fmt, f) if len(f) == inner else repeat(fmt(f[0]), inner)
+                                       for f in fields]))
+
+
+def fmt17(values):
+    """"%.17g" % x for each x of a float array, as a list of str."""
+    x = np.asarray(values, np.float64).reshape(-1, 1)
+    return list((_library() or _fmt_lines)([x], len(x), 1))
 
 
 def write_table(path, header, columns):
@@ -256,20 +248,10 @@ def write_table(path, header, columns):
 
     outer and inner are the broadcast of the shapes; columns that do not
     broadcast raise ValueError before the file is opened. Every value is
-    printed by fmt (float arrays by fmt17). Lines are built a block of at
-    most BLOCK_ROWS rows at a time, as write_csv reads them."""
+    printed by fmt."""
     columns = [np.atleast_2d(c) for c in columns]
     outer, inner = np.broadcast_shapes((1, 1), *(c.shape for c in columns))
-    fields = [_field(c) for c in columns]
-    if inner <= BLOCK_ROWS:
-        step = BLOCK_ROWS // inner
-        spans = [(i, min(i + step, outer), 0, inner) for i in range(0, outer, step)]
-    else:
-        spans = [(i, i + 1, j, min(j + BLOCK_ROWS, inner))
-                 for i in range(outer) for j in range(0, inner, BLOCK_ROWS)]
-    blocks = (_lines((i1 - i0) * (j1 - j0), [f(i0, i1, j0, j1) for f in fields])
-              for i0, i1, j0, j1 in spans)
-    write_csv(path, header, chain.from_iterable(blocks))
+    write_csv(path, header, (_library() or _fmt_lines)(columns, outer, inner))
 
 
 def write_csv(path, header, lines):

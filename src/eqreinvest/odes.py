@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import native
 # the Python g2 loop sums with model's weighted_sum, as AversionDistribution.mean does
 from .model import HestonParams, ValidatedModel, weighted_sum
 
@@ -339,34 +339,16 @@ long integrate(long n, const double *ng, const double *w, const double *s_grid, 
     return 0;
 }
 """
-_CC = ["cc", "-O2", "-fPIC", "-shared", "-ffp-contract=off"]
-
-
 @functools.cache
 def _g2_library():
     """The C loop of _G2_C as a function with _python_loop's signature,
-    or None where it cannot be built or loaded.
-
-    The library is built once per machine and kept as
-    $XDG_CACHE_HOME/eqreinvest/g2-<sha256 of source and command>.so (under
-    ~/.cache without XDG_CACHE_HOME). It is compiled in a temporary
-    directory beside it and moved into place, so concurrent first runs do
-    not read a half-written file.
-    """
-    import ctypes
-    import hashlib
-
-    source = f"#define RIGHT_SIDE(pg, h) ({RIGHT_SIDE})\n#define PI_BAR(w) ({PI_BAR})\n{_G2_C}"
-    digest = hashlib.sha256(" ".join([*_CC, source]).encode()).hexdigest()
-    cache = os.path.join(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"), "eqreinvest")
-    path = os.path.join(cache, f"g2-{digest}.so")
-    try:
-        if not os.path.exists(path):
-            _build(source, cache, path)
-        loop = ctypes.CDLL(path).integrate
-    except (OSError, AttributeError):  # no cc, a failed compile, or a cache not writable
+    or None where native.load cannot build or load it."""
+    lib = native.load("g2", f"#define RIGHT_SIDE(pg, h) ({RIGHT_SIDE})\n#define PI_BAR(w) ({PI_BAR})\n{_G2_C}")
+    if lib is None:
         return None
-    double, pointer = ctypes.c_double, ctypes.c_void_p
+    import ctypes
+
+    double, pointer, loop = ctypes.c_double, ctypes.c_void_p, lib.integrate
     loop.restype = ctypes.c_long
     loop.argtypes = [ctypes.c_long, pointer, pointer, pointer, ctypes.c_long, *[double] * 9,
                      pointer, pointer, ctypes.POINTER(double)]
@@ -382,23 +364,6 @@ def _g2_library():
             raise BlowUpError(step, value.value)
         return g2
     return integrate
-
-
-def _build(source, cache, path):
-    """Build source into the shared library path, through a temporary
-    directory in cache; raises OSError when that cannot be done."""
-    import subprocess
-    import tempfile
-
-    os.makedirs(cache, exist_ok=True)
-    with tempfile.TemporaryDirectory(dir=cache) as tmp:
-        c_file, so_file = os.path.join(tmp, "g2.c"), os.path.join(tmp, "g2.so")
-        with open(c_file, "w", encoding="utf-8") as fh:
-            fh.write(source)
-        built = subprocess.run([*_CC, "-o", so_file, c_file, "-lm"], capture_output=True)
-        if built.returncode:
-            raise OSError(f"cc exited {built.returncode}: {built.stderr.decode(errors='replace')}")
-        os.replace(so_file, path)
 
 
 def solve_g2_coupled(model: ValidatedModel) -> np.ndarray:

@@ -1,5 +1,10 @@
+import contextlib
 import math
+import os
+import shutil
 import struct
+import subprocess
+import sys
 from unittest import mock
 from fractions import Fraction
 
@@ -8,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import eqreinvest
 from eqreinvest import csvio
 from eqreinvest.csvio import FAST_MAX, FAST_MIN, fmt, fmt17, write_csv, write_table
 from eqreinvest.model import AversionDistribution, Horizon, validate_config
@@ -27,14 +33,23 @@ def test_fmt_compact_for_simple_values():
     assert fmt(0.5) == "0.5"
 
 
-def _texts(chars):
-    """The strings of a char matrix's rows, each NUL-padded at its end."""
-    return [b.decode() for b in chars.view(f"S{chars.shape[1]}").ravel().tolist()]
+# the CSV rows are built in C with cc; without it fmt is joined in Python
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+WRITERS = [pytest.param("c", marks=needs_cc), "python"]
+
+
+def _writer(kind):
+    """A context in which write_table runs the C rows ("c") or, as where
+    they cannot be built or loaded, joins fmt in Python ("python")."""
+    if kind == "c":
+        assert csvio._library() is not None
+        return contextlib.nullcontext()
+    return mock.patch.object(csvio, "_library", lambda: None)
 
 
 def _assert_fmt17_is_printf(values):
     x = np.asarray(values, dtype=np.float64)
-    wrong = [(v, got, "%.17g" % v) for v, got in zip(x.tolist(), _texts(fmt17(x))) if got != "%.17g" % v]
+    wrong = [(v, got, "%.17g" % v) for v, got in zip(x.tolist(), fmt17(x)) if got != "%.17g" % v]
     assert not wrong, wrong[:5]
 
 
@@ -78,22 +93,13 @@ def test_fmt17_powers_of_ten_and_their_neighbours():
         p = float(f"1e{k}")
         xs += [p, np.nextafter(p, 0.0), np.nextafter(p, math.inf)]
     _assert_fmt17_is_printf(xs + [-x for x in xs])
-    assert _texts(fmt17(np.array([1e-06]))) == ["9.9999999999999995e-07"]
+    assert fmt17(np.array([1e-06])) == ["9.9999999999999995e-07"]
 
 
 def test_fmt17_rounds_exact_ties_half_to_even():
     """x = m / 2^(k+1) with odd m and k = 16 - E is a tie at the 17th digit;
     such doubles exist for decades E from -7 to 15."""
-    rng = np.random.default_rng(17)
-    xs = []
-    for E in range(-7, FAST_MAX + 1):
-        k = 16 - E
-        low = math.ceil(Fraction(10) ** E * 2 ** (k + 1))
-        high = min(math.floor(Fraction(10) ** (E + 1) * 2 ** (k + 1)), 2 ** 53)
-        odd = rng.integers(low // 2, high // 2, 2000) * 2 + 1
-        ties = odd / 2.0 ** (k + 1)
-        assert all((Fraction(x) * 10 ** k).denominator == 2 for x in ties[:20].tolist())
-        xs += ties.tolist()
+    xs = _ties(np.random.default_rng(17), 2000)
     _assert_fmt17_is_printf(xs + [-x for x in xs])
 
 
@@ -105,6 +111,40 @@ def test_fmt17_random_values_in_every_decade():
         low, high = np.array([float(f"1e{E}"), float(f"1e{E + 1}")]).view(np.uint64).tolist()
         x = rng.integers(low, high, 100_000, dtype=np.uint64, endpoint=True).view(np.float64)
         _assert_fmt17_is_printf(x * rng.choice([-1.0, 1.0], x.size))
+
+
+def _ties(rng, per_decade):
+    """Doubles x = m / 2^(k+1), odd m, k = 16 - E: exact ties at the 17th
+    digit, which exist for decades E from -7 to 15."""
+    xs = []
+    for E in range(-7, FAST_MAX + 1):
+        k = 16 - E
+        low = math.ceil(Fraction(10) ** E * 2 ** (k + 1))
+        high = min(math.floor(Fraction(10) ** (E + 1) * 2 ** (k + 1)), 2 ** 53)
+        ties = ((rng.integers(low // 2, high // 2, per_decade) * 2 + 1) / 2.0 ** (k + 1)).tolist()
+        assert all((Fraction(x) * 10 ** k).denominator == 2 for x in ties[:20])
+        xs += ties
+    return xs
+
+
+@needs_cc
+def test_c_fmt17_matches_printf_on_a_million_bit_patterns():
+    """One call of the C fmt17 on 10^6 random bit patterns and the edge
+    cases: nan payloads of both signs (nan, where printf writes -nan), the
+    zeros and infinities, the subnormal extremes, each side of the exact
+    path's edges 1e-11 and 1e15, and 17th-digit ties."""
+    assert csvio._library() is not None
+    rng = np.random.default_rng(23)
+    bits = rng.integers(0, 2 ** 64, 10 ** 6, dtype=np.uint64, endpoint=False)
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001, 0xFFFFFFFFFFFFFFFF,
+                     0x7FF4000000000123, 0xFFF0000000000001], dtype=np.uint64)
+    edges = [0.0, math.inf, 5e-324, 2.225073858507201e-308, 2.2250738585072014e-308, 1e-11, 1e15]
+    edges += [np.nextafter(x, t) for x in (1e-11, 1e15) for t in (0.0, math.inf)] + _ties(rng, 20)
+    x = np.concatenate([bits.view(np.float64), nans.view(np.float64), edges, np.negative(edges)])
+    got = fmt17(x)
+    assert {got[i] for i in np.flatnonzero(np.isnan(x)).tolist()} == {"nan"}
+    wrong = [(v, text) for v, text in zip(x.tolist(), got) if text != "%.17g" % v]
+    assert not wrong, wrong[:5]
 
 
 def test_write_csv_lf_only(tmp_path):
@@ -149,32 +189,37 @@ def _tables(draw):
     return outer, inner, columns, value_at
 
 
+@pytest.mark.parametrize("writer", WRITERS)
 @given(_tables(), st.sampled_from([1, 2, 3, 2048]))
 @settings(max_examples=300, deadline=None)
-def test_write_table_row_bytes_equal_fmt_join(tmp_path_factory, table, block_rows):
+def test_write_table_row_bytes_equal_fmt_join(tmp_path_factory, writer, table, block_rows):
     """Every column shape gives fmt's bytes, row by row, outer-major, for
     every array type the writers pass (float, int, ASCII and non-ASCII str;
-    nan and the infinities included), in blocks of any size."""
+    nan and the infinities included), in blocks of any size, from the C
+    rows and from the Python join."""
     outer, inner, columns, value_at = table
     path = tmp_path_factory.mktemp("csv") / "table.csv"
-    with mock.patch.object(csvio, "BLOCK_ROWS", block_rows):
+    with mock.patch.object(csvio, "BLOCK_ROWS", block_rows), _writer(writer):
         write_table(path, ["h"] * len(columns), columns)
     want = ",".join(["h"] * len(columns)) + "\n" + "".join(
         ",".join(fmt(at(i, j)) for at in value_at) + "\n" for i in range(outer) for j in range(inner))
     assert path.read_bytes() == want.encode("utf-8")
 
 
+@pytest.mark.parametrize("writer", WRITERS)
 @given(st.lists(st.floats(), min_size=1))
-def test_write_table_float_columns_follow_fmt(tmp_path_factory, xs):
+def test_write_table_float_columns_follow_fmt(tmp_path_factory, writer, xs):
     """A float array prints as fmt prints each value, nan and the
-    infinities included, whether formatted once or a block at a time."""
+    infinities included, along either axis, from the C rows and from the
+    Python join."""
     x = np.array(xs, dtype=float)
     path = tmp_path_factory.mktemp("csv") / "floats.csv"
     want = "".join(fmt(v) + "\n" for v in xs)
-    for column in (x[:, None], x, x[None, :]):
-        write_table(path, ["x"], [column])
-        assert path.read_text(encoding="utf-8") == "x\n" + want
-    write_table(path, ["x", "k"], [x[:, None], np.array(["a", "b"])])
+    with _writer(writer):
+        for column in (x[:, None], x, x[None, :]):
+            write_table(path, ["x"], [column])
+            assert path.read_text(encoding="utf-8") == "x\n" + want
+        write_table(path, ["x", "k"], [x[:, None], np.array(["a", "b"])])
     assert path.read_text(encoding="utf-8") == "x,k\n" + "".join(
         f"{fmt(v)},{k}\n" for v in xs for k in "ab")
 
@@ -245,6 +290,30 @@ def test_write_csv_reads_a_generator_once(tmp_path):
     write_csv(path, ["k", "x", "label"], lines())
     assert reads == [0, 1, 2]
     assert path.read_text() == "k,x,label\n0,0,r0\n1,0.10000000000000001,r1\n2,0.20000000000000001,r2\n"
+
+
+def test_write_table_without_a_c_compiler_writes_the_same_bytes(tmp_path):
+    """A fresh interpreter with no cc on PATH and an empty cache cannot
+    build the C rows, and its fmt join writes the bytes this process does:
+    floats on and off fmt17's exact path, nan, text and int columns."""
+    x = np.array([0.1, -2.5e-12, 1e300, math.nan, -0.0, 1e15, 123456.789, 5e-324])
+    columns = [x[:, None], np.array(["a", "é"]), np.arange(2) * 7, -1e-7]
+    np.save(tmp_path / "x.npy", x)
+    code = f"""if True:
+        import numpy as np
+        from eqreinvest import csvio
+        assert csvio._library() is None
+        x = np.load({str(tmp_path / "x.npy")!r})
+        csvio.write_table({str(tmp_path / "fmt.csv")!r}, list("abcd"),
+                          [x[:, None], np.array(["a", "\\u00e9"]), np.arange(2) * 7, -1e-7])
+    """
+    (tmp_path / "bin").mkdir()
+    src = os.path.dirname(os.path.dirname(eqreinvest.__file__))
+    subprocess.run([sys.executable, "-c", code], check=True, env={
+        **os.environ, "PATH": str(tmp_path / "bin"), "XDG_CACHE_HOME": str(tmp_path / "cache"),
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))})
+    write_table(tmp_path / "here.csv", list("abcd"), columns)
+    assert (tmp_path / "fmt.csv").read_bytes() == (tmp_path / "here.csv").read_bytes()
 
 
 @given(

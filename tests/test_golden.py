@@ -34,7 +34,7 @@ import numpy as np
 import pytest
 
 import eqreinvest
-from eqreinvest import equilibrium_spot_check, equilibrium_strategy, simulate_paths, solve_g, solve_g2_coupled
+from eqreinvest import csvio, equilibrium_spot_check, equilibrium_strategy, simulate_paths, solve_g, solve_g2_coupled
 from eqreinvest.cli import EXIT_ADMISSIBILITY, EXIT_OK, main
 from eqreinvest.presets import baseline_model
 
@@ -233,8 +233,8 @@ def test_cli_outputs_match_golden_digests(tmp_path, command, case):
 
 
 def test_solve_without_a_c_compiler_matches_golden_digests(tmp_path):
-    """With no cc on PATH and an empty cache the C g2 loop cannot be built,
-    and the Python loop writes the same caseII files."""
+    """With no cc on PATH and an empty cache neither C library can be
+    built, and the Python g2 loop and fmt join write the same caseII files."""
     cfg, out, cache, empty_path = (tmp_path / name for name in ("caseII.cfg", "out", "cache", "bin"))
     cfg.write_text(CONFIG.format(probs=PROBS["caseII"], T=10, M=2000), encoding="utf-8")
     empty_path.mkdir()
@@ -256,6 +256,22 @@ def test_solve_t100_matches_golden_digests(tmp_path, case):
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
     for name in ("g_functions.csv", "strategy.csv"):
         _assert_digest(tmp_path / name, T100_DIGESTS[(case, name)])
+
+
+def test_python_csv_rows_match_golden_digests(tmp_path, monkeypatch):
+    """The fmt join that runs where the C rows cannot be built or loaded
+    writes the pinned bytes of solve at T = 100 (caseI) and on six atoms."""
+    monkeypatch.setattr(csvio, "_library", lambda: None)
+    runs = [(PROBS["caseI"], "0.5, 4", 100, {name: T100_DIGESTS[("caseI", name)] for name in
+                                             ("g_functions.csv", "strategy.csv")}),
+            (ATOMS6[1], ATOMS6[0], 10, ATOM_RUNS[("solve", *ATOMS6, 10, 2000)])]
+    for k, (probs, gammas, T, digests) in enumerate(runs):
+        cfg, out = tmp_path / f"{k}.cfg", tmp_path / str(k)
+        cfg.write_text(CONFIG.replace("gammas = 0.5, 4", f"gammas = {gammas}").format(probs=probs, T=T, M=2000),
+                       encoding="utf-8")
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        for name, digest in digests.items():
+            _assert_digest(out / name, digest)
 
 
 def test_reproduce_fig51_matches_golden_digest(tmp_path):

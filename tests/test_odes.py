@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import eqreinvest
-from eqreinvest import BlowUpError, RiccatiConstants, odes, solve_g
+from eqreinvest import BlowUpError, RiccatiConstants, native, odes, solve_g
 from eqreinvest import model as model_module
 from eqreinvest.model import (
     AversionDistribution,
@@ -371,7 +371,7 @@ def test_c_fsum_and_weighted_sum_match_python(tmp_path):
             return weighted_sum(n, v, w, w_hi, w_lo);
         }
     """, encoding="utf-8")
-    subprocess.run([*odes._CC, "-o", str(tmp_path / "harness.so"), str(harness), "-lm"], check=True)
+    subprocess.run([*native.CC, "-o", str(tmp_path / "harness.so"), str(harness), "-lm"], check=True)
     lib = ctypes.CDLL(str(tmp_path / "harness.so"))
     lib.weighted_sum_of.restype = ctypes.c_double
     bits = lambda x: "nan" if math.isnan(x) else struct.pack("d", x)
@@ -405,40 +405,49 @@ def _run_python(code, **env):
 
 
 @needs_cc
-def test_g2_loop_is_loaded_once_on_the_first_solve():
-    """Importing the CLI loads no g2 loop, so start-up does not pay for it,
-    and solves with 2 and 3 atoms load the C loop once; a fresh
-    interpreter, since other tests have solved in this one."""
-    _run_python("""if True:
+def test_c_libraries_are_loaded_once_on_first_use(tmp_path):
+    """Importing the CLI loads no library and imports neither hashlib nor
+    subprocess, so start-up does not pay for them (numpy itself imports
+    ctypes); solves with 2 and 3 atoms load the C g2 loop once, and two
+    CSV writes the C rows once; a fresh interpreter, since other tests have
+    solved and written in this one."""
+    _run_python(f"""if True:
+        import sys
         import eqreinvest.cli
-        from eqreinvest import odes
+        from eqreinvest import csvio, odes
         from eqreinvest.model import AversionDistribution
         from eqreinvest.presets import baseline_model
-        assert odes._g2_library.cache_info().currsize == 0
+        assert not {{"hashlib", "subprocess"}} & set(sys.modules)
+        assert odes._g2_library.cache_info().currsize == csvio._library.cache_info().currsize == 0
         for case in ("caseI", AversionDistribution.from_lists([0.5, 1.0, 4.0], [0.25, 0.5, 0.25])):
             odes.solve_g2_coupled(baseline_model(case, T=1.0, M=10))
-        info = odes._g2_library.cache_info()
-        assert (info.currsize, info.misses, info.hits) == (1, 1, 1), info
+        assert csvio._library.cache_info().currsize == 0
+        for name in ("a.csv", "b.csv"):
+            csvio.write_table({str(tmp_path)!r} + "/" + name, ["x"], [[0.5, 0.25]])
+        for loader in (odes._g2_library, csvio._library):
+            info = loader.cache_info()
+            assert (info.currsize, info.misses, info.hits) == (1, 1, 1), info
     """)
 
 
 @needs_cc
-def test_warm_cache_loads_the_c_loop_without_the_compiler(tmp_path):
-    """The first process builds one library into an empty cache; a second,
-    with no cc on its PATH, loads it from there."""
+def test_warm_cache_loads_the_c_libraries_without_the_compiler(tmp_path):
+    """The first process builds the g2 loop and the CSV rows into an empty
+    cache; a second, with no cc on its PATH, loads both from there."""
     cache, empty_path = tmp_path / "cache", tmp_path / "bin"
     empty_path.mkdir()
     solve = """if True:
-        from eqreinvest import odes
+        from eqreinvest import csvio, odes
         from eqreinvest.presets import baseline_model
-        assert odes._g2_library() is not None
+        assert odes._g2_library() is not None and csvio._library() is not None
         odes.solve_g2_coupled(baseline_model("caseII", T=1.0, M=10))
     """
     _run_python(solve, XDG_CACHE_HOME=str(cache))
-    built = os.listdir(cache / "eqreinvest")
-    assert len(built) == 1 and built[0].startswith("g2-") and built[0].endswith(".so"), built
+    built = sorted(os.listdir(cache / "eqreinvest"))
+    assert [name.split("-")[0] for name in built] == ["csv", "g2"], built
+    assert all(name.endswith(".so") for name in built), built
     _run_python(solve, XDG_CACHE_HOME=str(cache), PATH=str(empty_path))
-    assert os.listdir(cache / "eqreinvest") == built
+    assert sorted(os.listdir(cache / "eqreinvest")) == built
 
 
 def test_g2_is_held_in_one_float64_buffer():
