@@ -339,6 +339,8 @@ long integrate(long n, const double *ng, const double *w, const double *s_grid, 
     return 0;
 }
 """
+
+
 @functools.cache
 def _g2_library():
     """The C loop of _G2_C as a function with _python_loop's signature,
