@@ -4,25 +4,24 @@
 Every file is a table of write_table: its rows are (outer, inner) index
 pairs, its columns arrays whose shapes broadcast to (outer, inner):
 constants, values per inner index, values per outer index, or a value per
-row. Every value is printed by fmt, floats as "%.17g". The rows are built
-in C (_CSV_C), BLOCK_ROWS at a time, as write_csv reads them: a float64
-column is read in place through its strides (0 along a broadcast axis),
-and any other column is formatted once by fmt and passed as NUL-padded
-text. Its fmt17 prints a double by exact integer arithmetic, locale-free,
-and reports the values off its exact path, which Python prints with
-"%.17g". Where the library cannot be built or loaded, fmt of each value
-is joined in Python, with the same bytes."""
+row. Every value is printed by fmt, floats as "%.17g". The rows reach
+write_csv as blocks of bytes, BLOCK_ROWS rows each, which it writes to the
+file as they are. They are built in C (_CSV_C): a float64 column is read
+in place through its strides (0 along a broadcast axis), and any other
+column is formatted once by fmt and passed as NUL-padded text. Its fmt17
+prints a double by exact integer arithmetic, locale-free, and reports the
+values off its exact path, which Python prints with "%.17g" into the
+block. Where the library cannot be built or loaded, fmt of each value is
+joined in Python, a block at a time, with the same bytes."""
 
 from __future__ import annotations
 
 import functools
-from itertools import chain, islice, repeat
-
 import numpy as np
 
 from . import native
 
-BLOCK_ROWS = 2048  # lines built, and joined for writing, at a time
+BLOCK_ROWS = 2048  # rows built, and written, at a time
 FAST_MIN, FAST_MAX = -11, 14  # the decimal exponents of fmt17's exact path
 
 
@@ -172,7 +171,7 @@ long rows(long ncols, const char *const *base, const long *outer_step, const lon
 
 @functools.cache
 def _library():
-    """The lines of a table from the C rows of _CSV_C, as a function of
+    """The blocks of a table from the C rows of _CSV_C, as a function of
     (columns, outer, inner), or None where native.load cannot build or
     load them."""
     pow5, pairs = ", ".join(str(5 ** k) for k in range(28)), "".join(f"{k:02d}" for k in range(100))
@@ -186,7 +185,7 @@ def _library():
     rows.restype = long
     rows.argtypes = [long, *[pointer] * 4, long, long, long, *[pointer] * 4]
 
-    def lines(columns, outer, inner):
+    def blocks(columns, outer, inner):
         fields = [np.asarray(c, np.float64) if c.dtype.kind == "f" else _text(c) for c in columns]
         base = np.array([f.ctypes.data for f in fields], np.uintp)
         outer_step, inner_step = (np.array([f.strides[a] * (f.shape[a] > 1) for f in fields], np.int64)
@@ -197,21 +196,17 @@ def _library():
         off_at, off_value = np.empty(size * len(fields), np.int64), np.empty(size * len(fields))
 
         def block(r0):
+            """Rows r0 on as new bytes: out is overwritten by the next block."""
             n = rows(len(fields), base.ctypes.data, outer_step.ctypes.data, inner_step.ctypes.data,
                      width.ctypes.data, inner, r0, min(r0 + size, outer * inner), out.ctypes.data,
                      off_at.ctypes.data, off_value.ctypes.data, ctypes.byref(count))
-            data, at = memoryview(out)[:n], 0
-            if count.value:  # the values off fmt17's path, through "%.17g" itself
-                pieces = []
-                for k, v in zip(off_at[:count.value].tolist(), off_value[:count.value].tolist()):
-                    pieces += [data[at:k], b"%.17g" % v]
-                    at = k
-                data = b"".join([*pieces, data[at:]])
-            text = str(data, "utf-8").split("\n")
-            text.pop()
-            return text
-        return chain.from_iterable(map(block, range(0, outer * inner, size)))
-    return lines
+            data, at, pieces = memoryview(out)[:n], 0, []
+            for k, v in zip(off_at[:count.value].tolist(), off_value[:count.value].tolist()):
+                pieces += [data[at:k], b"%.17g" % v]  # the values off fmt17's path
+                at = k
+            return b"".join([*pieces, data[at:]])
+        return map(block, range(0, outer * inner, size))
+    return blocks
 
 
 def _text(column):
@@ -223,18 +218,19 @@ def _text(column):
     return np.array([fmt(v).encode() for v in column.ravel().tolist()], bytes).reshape(column.shape)
 
 
-def _fmt_lines(columns, outer, inner):
-    """The lines of a table as fmt of each value, joined by commas."""
-    for i in range(outer):
-        fields = [c[min(i, len(c) - 1)].tolist() for c in columns]
-        yield from map(",".join, zip(*[map(fmt, f) if len(f) == inner else repeat(fmt(f[0]), inner)
-                                       for f in fields]))
+def _fmt_blocks(columns, outer, inner):
+    """The blocks of a table as fmt of each value, joined by commas."""
+    texts = [np.broadcast_to(np.array([fmt(v) for v in c.ravel().tolist()], object).reshape(c.shape),
+                             (outer, inner)) for c in columns]
+    for r0 in range(0, outer * inner, BLOCK_ROWS):
+        i, j = divmod(np.arange(r0, min(r0 + BLOCK_ROWS, outer * inner)), inner)
+        yield "".join(",".join(row) + "\n" for row in zip(*[t[i, j] for t in texts])).encode()
 
 
 def fmt17(values):
     """"%.17g" % x for each x of a float array, as a list of str."""
     x = np.asarray(values, np.float64).reshape(-1, 1)
-    return list((_library() or _fmt_lines)([x], len(x), 1))
+    return b"".join((_library() or _fmt_blocks)([x], len(x), 1)).decode().split("\n")[:-1]
 
 
 def write_table(path, header, columns):
@@ -247,24 +243,26 @@ def write_table(path, header, columns):
     (outer, inner)  a value per row.
 
     outer and inner are the broadcast of the shapes; columns that do not
-    broadcast raise ValueError before the file is opened. Every value is
-    printed by fmt."""
+    broadcast, or whose count is not the header's, raise ValueError before
+    the file is opened. Every value is printed by fmt."""
+    if len(header) != len(columns):
+        raise ValueError(f"{len(header)} header fields for {len(columns)} columns")
     columns = [np.atleast_2d(c) for c in columns]
     outer, inner = np.broadcast_shapes((1, 1), *(c.shape for c in columns))
-    write_csv(path, header, (_library() or _fmt_lines)(columns, outer, inner))
+    write_csv(path, header, (_library() or _fmt_blocks)(columns, outer, inner))
 
 
-def write_csv(path, header, lines):
-    """Write the header and the lines (any iterable of str, one per data
-    row, without its LF; read once). A line that is not a str raises
-    TypeError rather than reach the file as str(value), not fmt's digits.
-    Lines are written BLOCK_ROWS at a time, joined."""
-    lines = iter(lines)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        while chunk := list(islice(lines, BLOCK_ROWS)):
-            chunk.append("")
-            fh.write("\n".join(chunk))
+def write_csv(path, header, blocks):
+    """Write the header and then the blocks (any iterable of bytes, each
+    whole rows of UTF-8, every row ended by LF; read once). An item that is
+    not bytes raises TypeError rather than reach the file as str(value), not
+    fmt's digits, or as a numpy scalar's raw buffer."""
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for block in blocks:
+            if not isinstance(block, bytes):
+                raise TypeError(f"a CSV block is bytes, not {type(block).__name__}")
+            fh.write(block)
 
 
 def write_g_csv(path, model, gsol):

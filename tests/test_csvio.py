@@ -149,7 +149,7 @@ def test_c_fmt17_matches_printf_on_a_million_bit_patterns():
 
 def test_write_csv_lf_only(tmp_path):
     path = tmp_path / "out.csv"
-    write_csv(path, ["a", "b"], ["1,2", "0.1,0.2"])
+    write_csv(path, ["a", "b"], [b"1,2\n", b"0.1,0.2\n"])
     data = path.read_bytes()
     assert b"\r" not in data
     assert data.endswith(b"\n")
@@ -240,54 +240,74 @@ def test_write_table_rejects_columns_that_do_not_broadcast(tmp_path, columns):
     assert path.read_bytes() == b"a,b\n1,2\n"
 
 
-def test_writers_reach_write_csv_with_one_line_per_row(tmp_path, monkeypatch, model_case1, gsol_case1):
-    """Timing wrappers replace csvio.write_csv and count the items it is
-    given: the writers call it through the module global, one str a row."""
+@pytest.mark.parametrize("header, columns", [
+    (["a"], [np.zeros(2), np.ones(2)]),
+    (["a", "b", "c"], [np.zeros(2)]),
+    ([], [np.zeros(2)]),
+])
+def test_write_table_rejects_a_header_that_is_not_one_field_per_column(tmp_path, header, columns):
+    """A header of more or fewer fields than columns raises before the file
+    is opened, rather than write rows of another width than the header's:
+    an existing file keeps its bytes."""
+    path = tmp_path / "kept.csv"
+    path.write_bytes(b"a,b\n1,2\n")
+    with pytest.raises(ValueError):
+        write_table(path, header, columns)
+    assert path.read_bytes() == b"a,b\n1,2\n"
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+def test_writers_reach_write_csv_with_bytes_blocks(tmp_path, monkeypatch, writer, model_case1, gsol_case1):
+    """Timing wrappers replace csvio.write_csv: the writers call it through
+    the module global, with blocks of bytes whose LFs are the rows."""
     calls = []
 
-    def counting(path, header, lines):
-        lines = list(lines)
-        calls.append((len(lines), all(isinstance(line, str) for line in lines)))
-        return real(path, header, lines)
+    def counting(path, header, blocks):
+        blocks = list(blocks)
+        calls.append((sum(block.count(b"\n") for block in blocks), {type(block) for block in blocks}))
+        return real(path, header, blocks)
 
     real = csvio.write_csv
     monkeypatch.setattr(csvio, "write_csv", counting)
-    csvio.write_g_csv(tmp_path / "g.csv", model_case1, gsol_case1)
+    with mock.patch.object(csvio, "BLOCK_ROWS", 7), _writer(writer):
+        csvio.write_g_csv(tmp_path / "g.csv", model_case1, gsol_case1)
     rows = model_case1.horizon.M + 1
-    assert calls == [(2 * rows, True)]
+    assert calls == [(2 * rows, {bytes})]
     assert len((tmp_path / "g.csv").read_text().splitlines()) == 2 * rows + 1
 
 
-@given(st.lists(_WORD.map(str) | st.text(alphabet="abc019.-,").map(np.str_), max_size=8))
+@given(st.lists(st.lists(_WORD | st.text(alphabet="abc019.-,"), max_size=4), max_size=5))
 @settings(max_examples=200, deadline=None)
-def test_write_csv_writes_lines_as_given(tmp_path_factory, lines):
-    path = tmp_path_factory.mktemp("csv") / "lines.csv"
-    write_csv(path, ["h", "k"], lines)
-    want = "h,k\n" + "".join(line + "\n" for line in lines)
+def test_write_csv_writes_blocks_as_given(tmp_path_factory, blocks):
+    """Each block, a list of lines here, reaches the file as its bytes."""
+    path = tmp_path_factory.mktemp("csv") / "blocks.csv"
+    write_csv(path, ["h", "k"], ["".join(line + "\n" for line in block).encode() for block in blocks])
+    want = "h,k\n" + "".join(line + "\n" for block in blocks for line in block)
     assert path.read_bytes() == want.encode("utf-8")
 
 
-@pytest.mark.parametrize("row", [("a", 0.1), (1, "b"), ("a", np.float64(0.5))])
+@pytest.mark.parametrize("item", ["c,d\n", 0.1, np.float64(0.5)])
 @pytest.mark.parametrize("at", [0, 1])
-def test_write_csv_rejects_unformatted_values(tmp_path, row, at):
-    """A line that is not a str, first or later, raises rather than
-    writing anything's str (0.1 where fmt writes 0.10000000000000001)."""
-    lines = ["c,d"] * 2
-    lines[at] = row
+def test_write_csv_rejects_unformatted_values(tmp_path, item, at):
+    """An item that is not bytes, first or later, raises rather than
+    writing a str, a float's str (0.1 where fmt writes 0.10000000000000001)
+    or a numpy float's raw buffer."""
+    blocks = [b"c,d\n"] * 2
+    blocks[at] = item
     with pytest.raises(TypeError):
-        write_csv(tmp_path / "raw.csv", ["a", "b"], lines)
+        write_csv(tmp_path / "raw.csv", ["a", "b"], blocks)
 
 
 def test_write_csv_reads_a_generator_once(tmp_path):
     reads = []
 
-    def lines():
+    def blocks():
         for k in range(3):
             reads.append(k)
-            yield f"{fmt(k)},{fmt(0.1 * k)},r{k}"
+            yield f"{fmt(k)},{fmt(0.1 * k)},r{k}\n".encode()
 
     path = tmp_path / "gen.csv"
-    write_csv(path, ["k", "x", "label"], lines())
+    write_csv(path, ["k", "x", "label"], blocks())
     assert reads == [0, 1, 2]
     assert path.read_text() == "k,x,label\n0,0,r0\n1,0.10000000000000001,r1\n2,0.20000000000000001,r2\n"
 
