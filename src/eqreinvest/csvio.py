@@ -17,6 +17,7 @@ joined in Python, a block at a time, with the same bytes."""
 from __future__ import annotations
 
 import functools
+
 import numpy as np
 
 from . import native
