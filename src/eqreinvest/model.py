@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import math
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,25 +83,6 @@ class InsuranceParams:
     mu1: float    # first moment of claim size
     mu2: float    # second moment of claim size
 
-    def violations(self):
-        v = []
-        if not self.lambda1 > 0:
-            v.append(f"lambda1 must be > 0, got {self.lambda1}")
-        if not self.mu1 > 0:
-            v.append(f"mu1 must be > 0, got {self.mu1}")
-        if not self.mu2 > 0:
-            v.append(f"mu2 must be > 0, got {self.mu2}")
-        if not self.eta1 >= 0:
-            v.append(f"eta1 must be >= 0, got {self.eta1}")
-        # a check across fields runs on finite fields only, so that a
-        # non-finite input is reported once, as such
-        if math.isfinite(self.eta1) and not self.eta2 >= self.eta1:
-            v.append(f"eta2 must be >= eta1 (no arbitrage), got eta2={self.eta2} < eta1={self.eta1}")
-        # x * x, not x ** 2, which raises OverflowError past the float range
-        if self.mu2 > 0 and 0 < self.mu1 < math.inf and not self.mu2 >= self.mu1 * self.mu1:
-            v.append(f"mu2 must be >= mu1^2, got mu2={self.mu2} < {self.mu1 * self.mu1}")
-        return v
-
     @property
     def a(self):
         """Drift scale of the surplus approximation, lambda1 * mu1."""
@@ -135,23 +116,6 @@ class HestonParams:
     rho: float    # correlation between price and variance shocks
     v0: float     # initial variance
 
-    def violations(self):
-        v = []
-        for name in ("r", "xi", "kappa", "theta", "sigma", "v0"):
-            val = getattr(self, name)
-            if not val > 0:
-                v.append(f"{name} must be > 0, got {val}")
-        if not -1.0 <= self.rho <= 1.0:
-            v.append(f"rho must be in [-1, 1], got {self.rho}")
-        # on finite fields only, and x * x, as InsuranceParams checks mu1^2
-        finite = all(map(math.isfinite, (self.kappa, self.theta, self.sigma)))
-        if finite and not 2.0 * self.kappa * self.theta > self.sigma * self.sigma:
-            v.append(
-                "Feller condition violated: 2*kappa*theta="
-                f"{2.0 * self.kappa * self.theta} <= sigma^2={self.sigma * self.sigma}"
-            )
-        return v
-
 
 @dataclass(frozen=True)
 class AversionDistribution:
@@ -180,30 +144,6 @@ class AversionDistribution:
     def mean(self):
         return weighted_sum(self.gammas, self.probs)
 
-    def violations(self):
-        v = []
-        if len(self.gammas) != len(self.probs):
-            v.append(f"gammas and probs differ in length: {len(self.gammas)} vs {len(self.probs)}")
-            return v
-        if len(self.gammas) == 0:
-            v.append("distribution must have at least one atom")
-            return v
-        for i, g in enumerate(self.gammas):
-            if not g > 0:
-                v.append(f"gamma[{i}] must be > 0, got {g}")
-        for i, p in enumerate(self.probs):
-            if not p > 0:
-                v.append(f"prob[{i}] must be > 0, got {p}")
-        if not all(map(math.isfinite, self.probs)):  # each is reported as such
-            return v
-        try:
-            s = math.fsum(self.probs)
-        except OverflowError:  # finite probabilities whose sum is past the float range
-            s = math.inf
-        if abs(s - 1.0) > PROB_SUM_TOL:
-            v.append(f"probabilities must sum to 1 within {PROB_SUM_TOL}, got {s!r}")
-        return v
-
 
 @dataclass(frozen=True)
 class Horizon:
@@ -223,16 +163,6 @@ class Horizon:
         t[-1] = self.T
         return t
 
-    def violations(self):
-        v = []
-        if not self.T > 0:
-            v.append(f"T must be > 0, got {self.T}")
-        if not (isinstance(self.M, (int, np.integer)) and self.M >= 1):
-            v.append(f"M must be an integer >= 1, got {self.M!r}")
-        elif self.T > 0 and not self.l > 0:  # T / M underflows
-            v.append(f"the grid step T / M must be > 0, got {self.l} (T = {self.T}, M = {self.M})")
-        return v
-
 
 @dataclass(frozen=True)
 class ValidatedModel:
@@ -242,43 +172,6 @@ class ValidatedModel:
     heston: HestonParams
     dist: AversionDistribution
     horizon: Horizon
-
-
-def _past_float_range(val):
-    """Whether val is an int that float() refuses as too large."""
-    if isinstance(val, int):
-        try:
-            float(val)
-        except OverflowError:
-            return True
-    return False
-
-
-def _non_finite(ins, heston, dist, horizon):
-    """(name, value) of every real-number input that is infinite or NaN, with
-    an int past the float range shown as such; inputs of another type are
-    left to the range checks."""
-    named = [(f.name, getattr(part, f.name)) for part in (ins, heston, horizon) for f in fields(part)]
-    named += [(f"gamma[{i}]", g) for i, g in enumerate(dist.gammas)]
-    named += [(f"prob[{i}]", p) for i, p in enumerate(dist.probs)]
-    found = []
-    for name, val in named:
-        if _past_float_range(val):
-            found.append((name, "an int past the float range"))
-        elif isinstance(val, (int, float, np.integer, np.floating)) and not math.isfinite(val):
-            found.append((name, val))
-    return found
-
-
-def _nan_past_float_range(part):
-    """part with each int past the float range, in a field or a tuple field,
-    replaced by nan: the range checks compare and print nan without an
-    OverflowError, and _non_finite reports the int."""
-    def fix(val):
-        if isinstance(val, tuple):
-            return tuple(map(fix, val))
-        return math.nan if _past_float_range(val) else val
-    return replace(part, **{f.name: fix(getattr(part, f.name)) for f in fields(part)})
 
 
 @functools.cache
@@ -300,24 +193,100 @@ def memory_violation(what, n_values):
             f"more than the {memory / 2 ** 30:.3g} GiB of physical memory")
 
 
+# the number types of an input: a str is not one, even one that float() parses
+_REAL = (float, int, np.floating, np.integer)
+# stands for each input reported as not a finite number: every comparison
+# with nan is false, so a rule written as the test for its violation does
+# not report the input again; a rule of another form checks for it by identity
+_REPORTED = math.nan
+
+
+def _reals(names, values, violations):
+    """The values, with _REPORTED for each one that is not a finite real
+    number, which is reported once, in violations, as such. Each value is
+    converted to float once, by isfinite; M's own rule reports an M that is
+    not a number."""
+    reals = []
+    for name, val in zip(names, values):
+        if not isinstance(val, _REAL):
+            problem = None if name == "M" else f"a number, got {val!r}"
+        else:
+            try:
+                problem = None if math.isfinite(val) else f"finite, got {val}"
+            except OverflowError:
+                problem = "finite, got an int past the float range"
+        if problem:
+            violations.append(f"{name} must be {problem}")
+            val = _REPORTED
+        reals.append(val)
+    return reals
+
+
 def validate_config(ins, heston, dist, horizon) -> ValidatedModel:
     """Check every type invariant and return the immutable model bundle.
 
-    Every input must be finite (an int past the float range is not).
-    Violations are aggregated: a single ValidationError lists all of them,
-    one per input (a non-finite input is not also reported by its range
-    check). Once the inputs are valid,
-    the square of g1's largest magnitude max_i gamma_i e^{rT} must be
-    finite (g3's quadrature squares g1), and what odes.solve_g holds at its
-    peak must fit in physical memory: (6n+3)(M+1) float64 values, the grid,
-    g1, g2, g3 and the quadrature's temporaries.
+    Each input is read once. One that is not a number (an int, a float or a
+    numpy scalar; a str is not one, even one that float() parses) is
+    reported as `<name> must be a number`, and one that is not finite (an
+    int past the float range included) as `<name> must be finite`; M's own
+    rule reports an M that is not a number. Each range rule and each rule
+    across inputs then runs once, on the finite inputs only, so no input is
+    reported twice. Violations are aggregated: a single ValidationError
+    lists all of them. Once the inputs are valid, the square of g1's largest
+    magnitude max_i gamma_i e^{rT} must be finite (g3's quadrature squares
+    g1), and what odes.solve_g holds at its peak must fit in physical
+    memory: (6n+3)(M+1) float64 values, the grid, g1, g2, g3 and the
+    quadrature's temporaries.
     """
-    non_finite = _non_finite(ins, heston, dist, horizon)
-    reported = tuple(f"{name} " for name, _ in non_finite)
-    violations = [f"{name} must be finite, got {val}" for name, val in non_finite]
-    for part in (ins, heston, dist, horizon):
-        part = _nan_past_float_range(part) if non_finite else part
-        violations += [v for v in part.violations() if not v.startswith(reported)]
+    violations = []
+    names = ("eta1", "eta2", "lambda1", "mu1", "mu2")
+    eta1, eta2, lambda1, mu1, mu2 = _reals(names, [getattr(ins, n) for n in names], violations)
+    names = ("r", "xi", "kappa", "theta", "sigma", "rho", "v0")
+    r, xi, kappa, theta, sigma, rho, v0 = _reals(names, [getattr(heston, n) for n in names], violations)
+    T, M, _ = _reals(("T", "M", "x0"), (horizon.T, horizon.M, horizon.x0), violations)
+    gammas = _reals([f"gamma[{i}]" for i in range(len(dist.gammas))], dist.gammas, violations)
+    probs = _reals([f"prob[{i}]" for i in range(len(dist.probs))], dist.probs, violations)
+
+    for name, x in (("lambda1", lambda1), ("mu1", mu1), ("mu2", mu2)):
+        if x <= 0:
+            violations.append(f"{name} must be > 0, got {x}")
+    if eta1 < 0:
+        violations.append(f"eta1 must be >= 0, got {eta1}")
+    if eta2 < eta1:
+        violations.append(f"eta2 must be >= eta1 (no arbitrage), got eta2={eta2} < eta1={eta1}")
+    # x * x, not x ** 2, which raises OverflowError past the float range
+    if mu2 > 0 and mu1 > 0 and mu2 < mu1 * mu1:
+        violations.append(f"mu2 must be >= mu1^2, got mu2={mu2} < {mu1 * mu1}")
+    for name, x in (("r", r), ("xi", xi), ("kappa", kappa), ("theta", theta), ("sigma", sigma), ("v0", v0)):
+        if x <= 0:
+            violations.append(f"{name} must be > 0, got {x}")
+    if rho < -1.0 or rho > 1.0:
+        violations.append(f"rho must be in [-1, 1], got {rho}")
+    # not >, as a nan 2*kappa*theta (kappa past 9e307, theta zero) violates the condition too
+    if _REPORTED not in (kappa, theta, sigma) and not 2.0 * kappa * theta > sigma * sigma:
+        violations.append(
+            f"Feller condition violated: 2*kappa*theta={2.0 * kappa * theta} <= sigma^2={sigma * sigma}")
+    if len(gammas) != len(probs):
+        violations.append(f"gammas and probs differ in length: {len(gammas)} vs {len(probs)}")
+    elif not gammas:
+        violations.append("distribution must have at least one atom")
+    else:
+        for name, atoms in (("gamma", gammas), ("prob", probs)):
+            violations += [f"{name}[{i}] must be > 0, got {x}" for i, x in enumerate(atoms) if x <= 0]
+        if _REPORTED not in probs:
+            try:
+                s = math.fsum(probs)
+            except OverflowError:  # finite probabilities whose sum is past the float range
+                s = math.inf
+            if abs(s - 1.0) > PROB_SUM_TOL:
+                violations.append(f"probabilities must sum to 1 within {PROB_SUM_TOL}, got {s!r}")
+    if T <= 0:
+        violations.append(f"T must be > 0, got {T}")
+    if M is not _REPORTED and not (isinstance(M, (int, np.integer)) and M >= 1):
+        violations.append(f"M must be an integer >= 1, got {M!r}")
+    elif T > 0 and T / M <= 0:  # T / M underflows; nan for a reported M
+        violations.append(f"the grid step T / M must be > 0, got {T / M} (T = {T}, M = {M})")
+
     if not violations:
         with np.errstate(over="ignore"):  # g3's quadrature squares g1 = -gamma e^{r(T-t)}
             g1_square = (max(dist.gammas) * np.exp(heston.r * horizon.T)) ** 2

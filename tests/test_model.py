@@ -94,7 +94,11 @@ def test_validate_config_aggregates_violations():
     bad_dist = AversionDistribution.from_lists([0.5], [0.9])
     with pytest.raises(ValidationError) as exc:
         validate_config(bad_ins, BASE_HESTON, bad_dist, Horizon(T=10.0, M=100))
-    assert len(exc.value.violations) >= 3
+    assert exc.value.violations == [
+        "lambda1 must be > 0, got -1.0",
+        "eta2 must be >= eta1 (no arbitrage), got eta2=0.3 < eta1=0.5",
+        "probabilities must sum to 1 within 1e-12, got 0.9",
+    ]
 
 
 def test_validate_config_reports_bad_types_not_type_errors():
@@ -146,6 +150,72 @@ def test_each_int_past_the_float_range_is_its_only_violation(name, value):
     """An int that float() refuses is a ValidationError naming its input, not
     an OverflowError from a finiteness or range check."""
     assert _violations_with(name, value) == [f"{name} must be finite, got an int past the float range"]
+
+
+@pytest.mark.parametrize("value", ["x", None])
+@pytest.mark.parametrize("name", NUMERIC_INPUTS)
+def test_each_non_number_input_is_its_only_violation(name, value):
+    """A non-number from the library, a str even where float() parses it, is
+    a ValidationError naming its input, not a TypeError from a range check
+    nor a value that passes validation (x0 has no range rule)."""
+    violations = _violations_with(name, value)
+    assert len(violations) == 1 and violations[0].startswith(f"{name} must be ")
+    pinned = "an integer >= 1" if name == "M" else "a number"  # M's own rule names what is not an integer
+    assert violations == [f"{name} must be {pinned}, got {value!r}"]
+
+
+# the inputs each rule across inputs names; a range rule names the input its message starts with
+_CROSS_FIELD = {
+    "eta2 must be >= eta1": {"eta1", "eta2"},
+    "mu2 must be >= mu1^2": {"mu1", "mu2"},
+    "Feller condition": {"kappa", "theta", "sigma"},
+    "the grid step T / M": {"T", "M"},
+}
+
+
+def _named_by(violation, inputs):
+    """The inputs a violation message names."""
+    for start, names in _CROSS_FIELD.items():
+        if violation.startswith(start):
+            return names
+    if violation.startswith("probabilities must sum"):
+        return {name for name in inputs if name.startswith("prob[")}
+    return {name for name in inputs if violation.startswith(f"{name} ")}
+
+
+_NOT_FINITE_OR_NUMBER = [math.nan, math.inf, -math.inf, 10 ** 400, -10 ** 400, "0.5", None]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([CASE_I, CASE_II]), st.data())
+def test_several_bad_inputs_are_each_named_once(dist, data):
+    """On a valid model with 1-5 inputs set to a non-finite value, an int past
+    the float range, a non-number or an out-of-range value, each non-finite
+    or non-number input is named by exactly one violation, its own, and no
+    range or cross-field message names it."""
+    inputs = [name for name in NUMERIC_INPUTS if "[" not in name]
+    inputs += [f"{atom}[{i}]" for atom in ("gamma", "prob") for i in range(dist.n)]
+    chosen = data.draw(st.lists(st.sampled_from(inputs), min_size=1, max_size=5, unique=True))
+    values = {name: data.draw(st.sampled_from(_NOT_FINITE_OR_NUMBER + [-2.0, 0.0])) for name in chosen}
+    parts = [dataclasses.replace(part, **{n: v for n, v in values.items() if hasattr(part, n)})
+             for part in (BASE_INSURANCE, BASE_HESTON, Horizon(T=1.0, M=10))]
+    atoms = {atom: [values.get(f"{atom}[{i}]", x) for i, x in enumerate(getattr(dist, f"{atom}s"))]
+             for atom in ("gamma", "prob")}
+    ins, heston, horizon = parts
+    try:
+        validate_config(ins, heston, AversionDistribution(tuple(atoms["gamma"]), tuple(atoms["prob"])), horizon)
+        violations = []  # -2.0 and 0.0 pass some rules, and x0 has none
+    except ValidationError as exc:
+        violations = exc.violations
+    for name, value in values.items():
+        if isinstance(value, float) and math.isfinite(value):
+            continue  # out of range: its own rule and rules across inputs may name it
+        naming = [v for v in violations if name in _named_by(v, inputs)]
+        if isinstance(value, (int, float)):
+            own = "finite"
+        else:
+            own = "an integer >= 1" if name == "M" else "a number"
+        assert len(naming) == 1 and naming[0].startswith(f"{name} must be {own}, got "), (name, naming)
 
 
 def test_validate_config_idempotent():
