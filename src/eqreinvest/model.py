@@ -205,7 +205,9 @@ def _reals(names, values, violations):
     """The values, with _REPORTED for each one that is not a finite real
     number, which is reported once, in violations, as such. Each value is
     converted to float once, by isfinite; M's own rule reports an M that is
-    not a number."""
+    not a number. An np.float64 comes back as the float it holds, which
+    prints alike and compares with an int past the float range without an
+    OverflowError."""
     reals = []
     for name, val in zip(names, values):
         if not isinstance(val, _REAL):
@@ -218,7 +220,7 @@ def _reals(names, values, violations):
         if problem:
             violations.append(f"{name} must be {problem}")
             val = _REPORTED
-        reals.append(val)
+        reals.append(float(val) if isinstance(val, np.float64) else val)
     return reals
 
 
@@ -289,7 +291,11 @@ def validate_config(ins, heston, dist, horizon) -> ValidatedModel:
 
     if not violations:
         with np.errstate(over="ignore"):  # g3's quadrature squares g1 = -gamma e^{r(T-t)}
-            g1_square = (max(dist.gammas) * np.exp(heston.r * horizon.T)) ** 2
+            try:
+                rate = float(heston.r * horizon.T)
+            except OverflowError:  # an int product past the float range
+                rate = math.inf
+            g1_square = (max(dist.gammas) * np.exp(rate)) ** 2
         if g1_square == np.inf:
             violations.append(f"(max gamma_i e^(rT))^2 must be finite (r = {heston.r}, T = {horizon.T})")
         too_big = memory_violation(f"M = {horizon.M}: the grid and the g arrays of {dist.n} atom(s)",

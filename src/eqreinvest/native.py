@@ -1,5 +1,6 @@
-"""C libraries built once per machine with cc and loaded through ctypes:
-the g2 loop (odes) and the CSV rows (csvio)."""
+"""C libraries built once per machine with cc and loaded through ctypes,
+each on its first use: the g2 loop (odes), the CSV rows (csvio) and the
+Monte Carlo chunk (montecarlo)."""
 
 from __future__ import annotations
 

@@ -249,6 +249,17 @@ def test_solve_without_a_c_compiler_matches_golden_digests(tmp_path):
             _assert_digest(out / name, digest)
 
 
+def test_simulate_without_a_c_compiler_matches_golden_digest(tmp_path):
+    """With no cc on PATH and an empty cache no C library can be built, and
+    the numpy Monte Carlo loop writes the pinned 3000-path equilibrium run."""
+    run = ("simulate --paths 3000 --strategy equilibrium --threads 1", "caseI", "simulation.csv")
+    cache, empty_path = tmp_path / "cache", tmp_path / "bin"
+    empty_path.mkdir()
+    digest = _run_in_fresh_interpreter(tmp_path, run, PATH=str(empty_path), XDG_CACHE_HOME=str(cache))
+    assert not any(name.endswith(".so") for _, _, names in os.walk(cache) for name in names)
+    assert digest == SHORT_RUNS[run], _platform()
+
+
 @pytest.mark.parametrize("case", ["caseI", "caseII"])
 def test_solve_t100_matches_golden_digests(tmp_path, case):
     cfg = tmp_path / f"{case}.cfg"

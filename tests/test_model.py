@@ -164,6 +164,30 @@ def test_each_non_number_input_is_its_only_violation(name, value):
     assert violations == [f"{name} must be {pinned}, got {value!r}"]
 
 
+def test_g1_square_of_an_int_rate_past_int64_is_its_violation():
+    """r = 10**300 and T = 1 as ints: e^{rT} is past the float range, which the
+    g1-square rule reports; np.exp of the int product raised TypeError."""
+    heston = dataclasses.replace(BASE_HESTON, r=10 ** 300)
+    with pytest.raises(ValidationError) as exc:
+        validate_config(BASE_INSURANCE, heston, CASE_I, Horizon(T=1, M=10))
+    assert exc.value.violations == [f"(max gamma_i e^(rT))^2 must be finite (r = {10 ** 300}, T = 1)"]
+
+
+@pytest.mark.parametrize("inputs,violation", [
+    ({"kappa": np.float64(0.3), "sigma": 10 ** 300},
+     f"Feller condition violated: 2*kappa*theta={2.0 * 0.3 * BASE_HESTON.theta} <= sigma^2={10 ** 600}"),
+    ({"mu2": np.float64(0.2), "mu1": 10 ** 200}, f"mu2 must be >= mu1^2, got mu2=0.2 < {10 ** 400}"),
+], ids=["feller", "mu2"])
+def test_numpy_float_against_an_int_square_past_the_float_range(inputs, violation):
+    """A rule across inputs compares an np.float64 with an exact int square
+    past the float range as a Python float would, not by an OverflowError."""
+    ins, heston = (dataclasses.replace(p, **{k: v for k, v in inputs.items() if hasattr(p, k)})
+                   for p in (BASE_INSURANCE, BASE_HESTON))
+    with pytest.raises(ValidationError) as exc:
+        validate_config(ins, heston, CASE_I, Horizon(T=1.0, M=10))
+    assert exc.value.violations == [violation]
+
+
 # the inputs each rule across inputs names; a range rule names the input its message starts with
 _CROSS_FIELD = {
     "eta2 must be >= eta1": {"eta1", "eta2"},

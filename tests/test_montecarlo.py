@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import shutil
 import warnings
 
 import numpy as np
@@ -16,6 +17,7 @@ from eqreinvest import (
     simulate_paths,
     simulate_strategies,
 )
+from eqreinvest import montecarlo
 from eqreinvest.montecarlo import CHUNK_SIZE, worker_count
 from eqreinvest.model import AversionDistribution, Horizon, validate_config, weighted_sum
 from eqreinvest.presets import BASE_HESTON, BASE_INSURANCE, baseline_model
@@ -330,3 +332,125 @@ def test_workers_do_not_change_outputs_property(four_cores, n_paths, workers, M,
     serial = simulate_strategies(m, strategies, n_paths, seed, workers=1)
     for a, b in zip(serial, simulate_strategies(m, strategies, n_paths, seed, workers=workers)):
         _same_batch(a, b)
+
+
+def _zero_strategy_v_terminal(model, seed):
+    """The terminal variances of 64 paths: the random part of a zero-strategy run."""
+    return simulate_paths(model, (0.0, 0.0), n_paths=64, seed=seed).v_terminal
+
+
+def test_seeds_2_63_and_2_63_plus_1_differ(small_model):
+    assert not np.array_equal(_zero_strategy_v_terminal(small_model, 2 ** 63),
+                              _zero_strategy_v_terminal(small_model, 2 ** 63 + 1))
+
+
+def test_seed_2_64_minus_1_is_not_seed_0(small_model):
+    assert not np.array_equal(_zero_strategy_v_terminal(small_model, 2 ** 64 - 1),
+                              _zero_strategy_v_terminal(small_model, 0))
+
+
+def test_seed_2_64_minus_1_raises_no_warning(small_model):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _zero_strategy_v_terminal(small_model, 2 ** 64 - 1)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 32, 2 ** 53 + 1, 2 ** 63 - 1])
+def test_seeds_below_2_63_keep_their_key_words(seed):
+    """The uint64 key gives the key words of the list [seed, chunk] that
+    keyed the chunks before, so those batches keep their bytes."""
+    for chunk in (0, 1, 7):
+        listed = np.random.Philox(key=[seed, chunk]).state["state"]["key"]
+        typed = np.random.Philox(key=np.array([seed, chunk], dtype=np.uint64)).state["state"]["key"]
+        assert np.array_equal(listed, typed) and int(typed[0]) == seed
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, -(2 ** 63)])
+def test_seed_outside_64_bits_is_refused(small_model, seed):
+    with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+        simulate_paths(small_model, (0.0, 0.0), n_paths=8, seed=seed)
+
+
+# the C chunk is built with cc; without it only the numpy loop runs
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+
+
+def _batches(model, strategies, n_paths, seed, numpy_loop, **kwargs):
+    """simulate_strategies through the C chunk or, as where it cannot be
+    built or loaded, the numpy loop."""
+    with pytest.MonkeyPatch.context() as mp:
+        if numpy_loop:
+            mp.setattr(montecarlo, "_library", lambda: None)
+        else:
+            assert montecarlo._library() is not None
+        return simulate_strategies(model, strategies, n_paths, seed, **kwargs)
+
+
+@needs_cc
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 64 - 1), st.integers(1, 3 * CHUNK_SIZE), st.integers(1, 4),
+       st.one_of(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(-1.0, 1.0)),
+       st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(-3.0, 3.0), st.booleans()), min_size=1, max_size=4))
+def test_c_chunk_matches_numpy_loop_property(seed, n_paths, M, rho, pairs):
+    """The C chunk and the numpy loop give byte-equal batches, for every
+    64-bit seed, short last chunks, 1 to 4 strategies (constants and grid
+    arrays) and correlations at and between the ends of [-1, 1]."""
+    m = validate_config(BASE_INSURANCE, dataclasses.replace(BASE_HESTON, rho=rho), AversionDistribution.single(2.0),
+                        Horizon(T=0.05, M=M))
+    grid = np.linspace(0.0, 1.0, M + 1)
+    strategies = [(q * grid, pi * (1.0 - grid)) if arrays else (q, pi) for q, pi, arrays in pairs]
+    for a, b in zip(_batches(m, strategies, n_paths, seed, numpy_loop=False),
+                    _batches(m, strategies, n_paths, seed, numpy_loop=True)):
+        assert np.array_equal(a.x_terminal, b.x_terminal)
+        assert np.array_equal(a.v_terminal, b.v_terminal)
+        assert a.min_v == b.min_v
+
+
+@needs_cc
+def test_c_normals_are_standard_normal_bit_for_bit():
+    """A one-step chunk leaves its 3c normals in z: on 1.2e7 draws over four
+    keys, tail draws past the ziggurat's r = 3.654 among them, they equal
+    Generator(Philox).standard_normal's, which they would not under a numpy
+    whose ziggurat or tables differed."""
+    chunk, c = montecarlo._library(), 10 ** 6
+    z, x, v, v_plus, lowest = np.empty(3 * c), np.empty(c), np.empty(c), np.empty(c), np.empty(c)
+    terms = np.zeros(1)
+    tails = 0
+    for seed, index in [(0, 0), (7, 3), (123456789, 0), (2 ** 64 - 1, 2 ** 63 + 5)]:
+        step = chunk(seed, index, c, 1, 1, *[terms.ctypes.data] * 3, 30.0, 0.0225, 0.1, -0.5, 0.75 ** 0.5,
+                     0.5, 1.0, 0.1, 0.0225, 5.0, 0.01, 0.25, z.ctypes.data, x.ctypes.data, v.ctypes.data,
+                     v_plus.ctypes.data, lowest.ctypes.data)
+        assert step == 0
+        key = np.array([seed, index], dtype=np.uint64)
+        assert np.array_equal(z, np.random.Generator(np.random.Philox(key=key)).standard_normal(3 * c))
+        tails += int(np.count_nonzero(np.abs(z) > 3.6541528853610088))
+    assert tails > 1000
+
+
+def _diverging(workers, numpy_loop, n_paths=2 * CHUNK_SIZE + 5):
+    """The SimulationError (step, n_bad) of a run whose wealth passes the
+    float range at step 3 on 3 paths of chunk 0, and the step the C chunk
+    returned for each chunk it ran."""
+    m = baseline_model("caseI", T=1.0, M=20, v0=20.0, xi=1e-3)
+    returned, chunk = {}, montecarlo._library()
+
+    def recording(seed, index, *args):
+        returned[index] = chunk(seed, index, *args)
+        return returned[index]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(montecarlo, "_library", lambda: None if numpy_loop else recording)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SimulationError) as exc:
+            simulate_strategies(m, [(0.0, 3e307), (0.5, 0.0)], n_paths, 5, workers=workers)
+    return (exc.value.step, exc.value.n_bad), returned
+
+
+@needs_cc
+def test_forced_blow_up_fails_alike_on_both_paths(four_cores):
+    """A blow-up some steps in on part of the paths raises the same step and
+    bad-path count through the C chunk as through the numpy loop, on one
+    worker and on two, and the C chunk returns that step."""
+    assert worker_count(3, 2) == 2
+    for workers in (1, 2):
+        assert _diverging(workers, numpy_loop=True) == ((3, 3), {})
+        error, returned = _diverging(workers, numpy_loop=False)
+        assert error == (3, 3) and returned[0] == 3, returned

@@ -408,23 +408,27 @@ def _run_python(code, **env):
 def test_c_libraries_are_loaded_once_on_first_use(tmp_path):
     """Importing the CLI loads no library and imports neither hashlib nor
     subprocess, so start-up does not pay for them (numpy itself imports
-    ctypes); solves with 2 and 3 atoms load the C g2 loop once, and two
-    CSV writes the C rows once; a fresh interpreter, since other tests have
-    solved and written in this one."""
+    ctypes); solves with 2 and 3 atoms load the C g2 loop once, two CSV
+    writes the C rows once, and two simulations the C chunk once; a fresh
+    interpreter, since other tests have solved, written and simulated in
+    this one."""
     _run_python(f"""if True:
         import sys
         import eqreinvest.cli
-        from eqreinvest import csvio, odes
+        from eqreinvest import csvio, montecarlo, odes
         from eqreinvest.model import AversionDistribution
         from eqreinvest.presets import baseline_model
         assert not {{"hashlib", "subprocess"}} & set(sys.modules)
-        assert odes._g2_library.cache_info().currsize == csvio._library.cache_info().currsize == 0
+        loaders = (odes._g2_library, csvio._library, montecarlo._library)
+        assert [loader.cache_info().currsize for loader in loaders] == [0, 0, 0]
         for case in ("caseI", AversionDistribution.from_lists([0.5, 1.0, 4.0], [0.25, 0.5, 0.25])):
             odes.solve_g2_coupled(baseline_model(case, T=1.0, M=10))
-        assert csvio._library.cache_info().currsize == 0
+        assert csvio._library.cache_info().currsize == montecarlo._library.cache_info().currsize == 0
         for name in ("a.csv", "b.csv"):
             csvio.write_table({str(tmp_path)!r} + "/" + name, ["x"], [[0.5, 0.25]])
-        for loader in (odes._g2_library, csvio._library):
+        for seed in (1, 2):
+            montecarlo.simulate_paths(baseline_model("caseI", T=1.0, M=10), (0.5, 0.5), 100, seed)
+        for loader in loaders:
             info = loader.cache_info()
             assert (info.currsize, info.misses, info.hits) == (1, 1, 1), info
     """)
