@@ -283,10 +283,11 @@ def simulate_strategies(
 
     seed is a Philox key word, an integer in [0, 2**64); another raises
     ValueError. The chunks run on worker_count(n_chunks, workers) threads,
-    the calling thread among them. Each chunk has its own Philox stream and state and
-    writes disjoint slices of the outputs, so the batches do not depend on
-    workers. When chunks fail, the error of the lowest failing chunk is
-    raised, as a serial run over the chunks would raise it.
+    the calling thread among them. Each chunk has its own Philox stream
+    and state and writes disjoint slices of the outputs, so the batches do
+    not depend on workers. When chunks fail, the error of the lowest
+    failing chunk is raised, as a serial run over the chunks would raise
+    it.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
