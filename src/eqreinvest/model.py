@@ -19,45 +19,29 @@ import numpy as np
 
 PROB_SUM_TOL = 1e-12
 
-def _split(x):
-    """Veltkamp's split of x into x_hi + x_lo: 2^27 + 1 splits a double into
-    two 26-bit halves, whose products with another split are exact."""
-    c = 134217729.0 * x
-    hi = c - (c - x)
-    return hi, x - hi
+@functools.cache
+def _fma():
+    """glibc's fma(x, y, z), x * y + z correctly rounded once, through ctypes."""
+    import ctypes
+
+    fma = ctypes.CDLL("libm.so.6").fma
+    fma.restype, fma.argtypes = ctypes.c_double, [ctypes.c_double] * 3
+    return fma
 
 
 def weighted_sum(values, weights):
     """sum_i values[i] * weights[i], rounded as fused multiply-adds in atom
-    order from +0.0: acc = fma(v_i, w_i, acc).
-
-    OpenBLAS's SkylakeX ddot rounded the same in 4000 of 4000 random draws
-    for each of 2, 3, 4, 6 and 15 atoms, but its Haswell kernel differs in
-    17-37% of them, so the sum is defined here and not by the BLAS. Python
-    has no fma before 3.13, so each step after the first is emulated
-    exactly: Dekker's two-product gives v_i w_i as prod + err without
-    rounding, and math.fsum rounds prod + err + acc correctly. The emulation
-    is exact while no |v_i| or |w_i| exceeds about 1e300 (the split would
-    overflow) and no nonzero product falls below about 1e-290 (err would not
-    be representable). Since acc starts at +0.0, an exact zero sum, the
-    empty one included, is +0.0, as fsum returns it. Outside the domain the
-    sum can differ from fma's but does not raise: a non-finite or
-    overflowing step is a plain add.
+    order from +0.0: acc = fma(v_i, w_i, acc), by glibc's fma, which the C
+    g2 loop calls too (Python has no fma before 3.13). The sum is defined
+    here and not by the BLAS, whose ddot rounds by CPU kernel (OpenBLAS's
+    Haswell kernel differs from SkylakeX in 17-37% of random draws). An
+    exact zero sum, the empty one included, is +0.0.
     """
     if len(values) != len(weights):
         raise ValueError(f"values and weights differ in length: {len(values)} vs {len(weights)}")
-    terms = zip(values, map(float, weights))
-    v, w = next(terms, (0.0, 0.0))
-    acc = v * w + 0.0  # fma(v_0, w_0, +0.0)
-    for v, w in terms:
-        prod = v * w
-        v_hi, v_lo = _split(v)
-        w_hi, w_lo = _split(w)
-        err = ((v_hi * w_hi - prod) + v_hi * w_lo + v_lo * w_hi) + v_lo * w_lo
-        try:
-            acc = math.fsum((prod, err, acc))
-        except (ValueError, OverflowError):  # inf - inf, or a sum past the float range
-            acc = prod + acc
+    fma, acc = _fma(), 0.0
+    for v, w in zip(values, weights):
+        acc = fma(v, w, acc)
     return acc
 
 
@@ -224,6 +208,11 @@ def _reals(names, values, violations):
     return reals
 
 
+def _python(x):
+    """x as the Python float or int it holds, exactly: unlike numpy's, it compares with any int."""
+    return x.item() if isinstance(x, np.generic) else x
+
+
 def validate_config(ins, heston, dist, horizon) -> ValidatedModel:
     """Check every type invariant and return the immutable model bundle.
 
@@ -257,7 +246,7 @@ def validate_config(ins, heston, dist, horizon) -> ValidatedModel:
     if eta2 < eta1:
         violations.append(f"eta2 must be >= eta1 (no arbitrage), got eta2={eta2} < eta1={eta1}")
     # x * x, not x ** 2, which raises OverflowError past the float range
-    if mu2 > 0 and mu1 > 0 and mu2 < mu1 * mu1:
+    if mu2 > 0 and mu1 > 0 and _python(mu2) < _python(mu1 * mu1):
         violations.append(f"mu2 must be >= mu1^2, got mu2={mu2} < {mu1 * mu1}")
     for name, x in (("r", r), ("xi", xi), ("kappa", kappa), ("theta", theta), ("sigma", sigma), ("v0", v0)):
         if x <= 0:
@@ -265,7 +254,7 @@ def validate_config(ins, heston, dist, horizon) -> ValidatedModel:
     if rho < -1.0 or rho > 1.0:
         violations.append(f"rho must be in [-1, 1], got {rho}")
     # not >, as a nan 2*kappa*theta (kappa past 9e307, theta zero) violates the condition too
-    if _REPORTED not in (kappa, theta, sigma) and not 2.0 * kappa * theta > sigma * sigma:
+    if _REPORTED not in (kappa, theta, sigma) and not _python(2.0 * kappa * theta) > _python(sigma * sigma):
         violations.append(
             f"Feller condition violated: 2*kappa*theta={2.0 * kappa * theta} <= sigma^2={sigma * sigma}")
     if len(gammas) != len(probs):

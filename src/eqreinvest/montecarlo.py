@@ -277,20 +277,22 @@ def simulate_strategies(
     One pass: every chunk draws its normals once per step and advances the
     variance once; only wealth is a (K, chunk) array. Batch k is
     bit-identical to simulate_paths(model, strategies[k], n_paths, seed),
-    and all K batches share one v_terminal array. A
-    non-finite state raises SimulationError at its step; a path counts as
-    bad when any strategy's state on it is non-finite.
+    and all K batches share one v_terminal array. A non-finite state
+    raises SimulationError at its step; a path counts as bad when any
+    strategy's state on it is non-finite.
 
-    seed is a Philox key word, an integer in [0, 2**64); another raises
-    ValueError. The chunks run on worker_count(n_chunks, workers) threads,
-    the calling thread among them. Each chunk has its own Philox stream
-    and state and writes disjoint slices of the outputs, so the batches do
-    not depend on workers. When chunks fail, the error of the lowest
-    failing chunk is raised, as a serial run over the chunks would raise
-    it.
+    seed is a Philox key word, an integer (a bool, an int or a numpy int)
+    in [0, 2**64); another raises ValueError before any path runs. The
+    chunks run on worker_count(n_chunks, workers) threads, the calling
+    thread among them. Each chunk has its own Philox stream and state and
+    writes disjoint slices of the outputs, so the batches do not depend on
+    workers. When chunks fail, the error of the lowest failing chunk is
+    raised, as a serial run over the chunks would raise it.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
+    if not isinstance(seed, (int, np.integer)):  # a bool is an int
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     if not 0 <= seed < 2 ** 64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     n_chunks = -(-n_paths // CHUNK_SIZE)

@@ -155,8 +155,9 @@ def _python_loop(*coeffs, s_grid, xi, kappa, rs, half_s2, mean_gamma, r, l, half
     """solve_g2_coupled's loop in plain Python, for any number n of atoms:
     coeffs are ng_i = -gamma_i, then the weights p_i, and the state h is a
     list of n floats. It runs where the C loop cannot be built or loaded,
-    and is the reference the C loop is tested against; it returns g2 in an
-    array("d") laid out as solve_g2_coupled describes."""
+    and is the reference for the C loop's operation order (both sum with
+    glibc's fma); it returns g2 in an array("d") as solve_g2_coupled lays
+    it out."""
     n, points = len(coeffs) // 2, len(s_grid)
     ng, w = coeffs[:n], coeffs[n:]
     names = {"xi": xi, "kappa": kappa, "rs": rs, "half_s2": half_s2, "mean_gamma": mean_gamma}
@@ -182,98 +183,23 @@ def _python_loop(*coeffs, s_grid, xi, kappa, rs, half_s2, mean_gamma, r, l, half
 
 
 # The loop of _python_loop in C, generic in the atom count: the same
-# float64 operations in the same order, RIGHT_SIDE and PI_BAR included as
-# macros from their texts (see _g2_library)
+# float64 operations in the same order, glibc's fma included, and RIGHT_SIDE
+# and PI_BAR as macros from their texts (see _g2_library)
 _G2_C = r"""
 #include <math.h>
 
-/* CPython 3.11's math.fsum of three floats: 0 with the sum in *out, or 1
-   where math.fsum raises (-inf + inf, or an intermediate overflow) */
-static int fsum3(const double *items, double *out)
+/* model.weighted_sum of v and w: glibc's fma in atom order from +0.0 */
+static double weighted_sum(long n, const double *v, const double *w)
 {
-    double p[3], x, y, t, hi, yr, lo = 0.0, xsave, special_sum = 0.0, inf_sum = 0.0;
-    int i, j, k, n = 0;
-
-    for (k = 0; k < 3; k++) {
-        x = items[k];
-        xsave = x;
-        for (i = j = 0; j < n; j++) {
-            y = p[j];
-            if (fabs(x) < fabs(y)) {
-                t = x; x = y; y = t;
-            }
-            hi = x + y;
-            yr = hi - x;
-            lo = y - yr;
-            if (lo != 0.0)
-                p[i++] = lo;
-            x = hi;
-        }
-        n = i;
-        if (x != 0.0) {
-            if (!isfinite(x)) {
-                if (isfinite(xsave))
-                    return 1;
-                if (isinf(xsave))
-                    inf_sum += xsave;
-                special_sum += xsave;
-                n = 0;
-            }
-            else
-                p[n++] = x;
-        }
-    }
-    if (special_sum != 0.0) {
-        if (isnan(inf_sum))
-            return 1;
-        *out = special_sum;
-        return 0;
-    }
-    hi = 0.0;
-    if (n > 0) {
-        hi = p[--n];
-        while (n > 0) {
-            x = hi;
-            y = p[--n];
-            hi = x + y;
-            yr = hi - x;
-            lo = y - yr;
-            if (lo != 0.0)
-                break;
-        }
-        if (n > 0 && ((lo < 0.0 && p[n - 1] < 0.0) || (lo > 0.0 && p[n - 1] > 0.0))) {
-            y = lo * 2.0;
-            x = hi + y;
-            yr = x - hi;
-            if (y == yr)
-                hi = x;
-        }
-    }
-    *out = hi;
-    return 0;
-}
-
-/* model.weighted_sum of v and w: its Dekker two-product of v_i and w_i
-   (Veltkamp-split by 2^27 + 1 into halves, w's into w_hi, w_lo), then
-   fsum3, or a plain add where fsum3 fails */
-static double weighted_sum(long n, const double *v, const double *w, const double *w_hi,
-                           const double *w_lo)
-{
-    double acc = v[0] * w[0] + 0.0, c, v_hi, v_lo, items[3];
+    double acc = 0.0;
     long i;
 
-    for (i = 1; i < n; i++) {
-        items[0] = v[i] * w[i];
-        c = 134217729.0 * v[i]; v_hi = c - (c - v[i]); v_lo = v[i] - v_hi;
-        items[1] = ((v_hi * w_hi[i] - items[0]) + v_hi * w_lo[i] + v_lo * w_hi[i]) + v_lo * w_lo[i];
-        items[2] = acc;
-        if (fsum3(items, &acc))
-            acc = items[0] + acc;
-    }
+    for (i = 0; i < n; i++)
+        acc = fma(v[i], w[i], acc);
     return acc;
 }
 
-/* n atoms with ng_i = -gamma_i and weights w_i; work holds 7n doubles, and
+/* n atoms with ng_i = -gamma_i and weights w_i; work holds 5n doubles, and
    g2 (n rows of points zeros) receives each row from the end. Returns 0,
    or the step after which some h_i is outside [-high, high] or nan, with
    max |h_i| (inf if one is not finite) in *value. */
@@ -281,15 +207,11 @@ long integrate(long n, const double *ng, const double *w, const double *s_grid, 
                double xi, double kappa, double rs, double half_s2, double mean_gamma, double r,
                double l, double half_l, double high, double *work, double *g2, double *value)
 {
-    double *h = work, *p = h + n, *f = p + n, *g = f + n, *g_next = g + n, *w_hi = g_next + n,
-           *w_lo = w_hi + n;
-    double s, c, growth, decay, decay_next, acc, pi_hat, pg;
+    double *h = work, *p = h + n, *f = p + n, *g = f + n, *g_next = g + n;
+    double s, growth, decay, decay_next, acc, pi_hat, pg;
     long i, m, k;
     int inside;
 
-    for (i = 1; i < n; i++) {
-        c = 134217729.0 * w[i]; w_hi[i] = c - (c - w[i]); w_lo[i] = w[i] - w_hi[i];
-    }
     growth = exp(r * s_grid[0]);
     for (i = 0; i < n; i++) {
         h[i] = 0.0;
@@ -302,14 +224,14 @@ long integrate(long n, const double *ng, const double *w, const double *s_grid, 
         for (i = 0; i < n; i++)
             g_next[i] = ng[i] * growth;
         decay_next = exp(-r * s);
-        acc = weighted_sum(n, h, w, w_hi, w_lo);
+        acc = weighted_sum(n, h, w);
         pi_hat = PI_BAR(acc) * decay;
         for (i = 0; i < n; i++) {
             pg = pi_hat * g[i];
             f[i] = RIGHT_SIDE(pg, h[i]);
             p[i] = h[i] + l * f[i];
         }
-        acc = weighted_sum(n, p, w, w_hi, w_lo);
+        acc = weighted_sum(n, p, w);
         pi_hat = PI_BAR(acc) * decay_next;
         inside = 1;
         for (i = 0; i < n; i++) {
@@ -357,7 +279,7 @@ def _g2_library():
 
     def integrate(*coeffs, s_grid, xi, kappa, rs, half_s2, mean_gamma, r, l, half_l):
         n, grid = len(coeffs) // 2, np.frombuffer(s_grid)
-        coeffs, work, value = np.array(coeffs), np.empty(7 * n), double()
+        coeffs, work, value = np.array(coeffs), np.empty(5 * n), double()
         g2 = np.zeros(n * len(grid))
         step = loop(n, coeffs.ctypes.data, coeffs[n:].ctypes.data, grid.ctypes.data, len(grid),
                     xi, kappa, rs, half_s2, mean_gamma, r, l, half_l, BLOWUP_THRESHOLD,
@@ -382,8 +304,8 @@ def solve_g2_coupled(model: ValidatedModel) -> np.ndarray:
     per atom and step.
 
     Every operation keeps the order and rounding of the array form (x * x,
-    not x ** 2, which goes through libm pow), and each weighted sum is the
-    atom-order fma of model.weighted_sum, which does not depend on the
+    not x ** 2, which goes through libm pow), and each weighted sum is
+    model.weighted_sum's atom-order glibc fma, which does not depend on the
     BLAS. e^{-rs} and g1(T - s) = -gamma_i e^{rs} (not g1_closed, which
     rounds T - (T - s)) are computed once per grid point and shared by the
     corrector that ends a step and the predictor that starts the next.
@@ -391,15 +313,12 @@ def solve_g2_coupled(model: ValidatedModel) -> np.ndarray:
     The loop runs as C (_G2_C), which writes the same bytes as the plain
     Python loop _python_loop: the same float64 operations in the same
     order, with RIGHT_SIDE and PI_BAR included from their texts as macros;
-    no fused multiply-add (-ffp-contract=off) and no fast-math; glibc's
-    exp, the function math.exp calls (validation keeps gamma_i e^{rT}
-    squarable, so it cannot overflow); and CPython 3.11's math.fsum ported
-    for the three terms of each emulated fma, with the branches where it
-    raises, so that the plain-add fallback fires on the same inputs.
-    _g2_library builds it with cc on the first solve, once per machine,
-    into $XDG_CACHE_HOME/eqreinvest (~/.cache/eqreinvest without that
-    variable). _python_loop runs only where the C loop cannot be built or
-    loaded: no cc, a failed compile, or a cache that cannot be written.
+    no fused multiply-add but the sums' fma calls (-ffp-contract=off) and
+    no fast-math; and glibc's exp and fma, the functions math.exp and
+    model.weighted_sum call (validation keeps gamma_i e^{rT} squarable, so
+    exp cannot overflow). _g2_library builds it through native.load on the
+    first solve, once per machine; _python_loop runs only where native.load
+    cannot build or load it (no cc, a failed compile, an unwritable cache).
     """
     hs, hz, dist = model.heston, model.horizon, model.dist
     integrate = _g2_library() or _python_loop

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from eqreinvest import (
@@ -176,11 +176,20 @@ def test_g1_square_of_an_int_rate_past_int64_is_its_violation():
 @pytest.mark.parametrize("inputs,violation", [
     ({"kappa": np.float64(0.3), "sigma": 10 ** 300},
      f"Feller condition violated: 2*kappa*theta={2.0 * 0.3 * BASE_HESTON.theta} <= sigma^2={10 ** 600}"),
+    ({"kappa": np.float32(0.3), "sigma": 10 ** 300},
+     f"Feller condition violated: 2*kappa*theta={2.0 * np.float32(0.3) * BASE_HESTON.theta} <= sigma^2={10 ** 600}"),
+    ({"kappa": np.int64(1), "sigma": 10 ** 300},
+     f"Feller condition violated: 2*kappa*theta={2.0 * np.int64(1) * BASE_HESTON.theta} <= sigma^2={10 ** 600}"),
+    ({"theta": np.float32(0.3), "sigma": 10 ** 300},
+     f"Feller condition violated: 2*kappa*theta={2.0 * BASE_HESTON.kappa * np.float32(0.3)} <= sigma^2={10 ** 600}"),
     ({"mu2": np.float64(0.2), "mu1": 10 ** 200}, f"mu2 must be >= mu1^2, got mu2=0.2 < {10 ** 400}"),
-], ids=["feller", "mu2"])
+    ({"mu2": np.float32(0.2), "mu1": 10 ** 200},
+     f"mu2 must be >= mu1^2, got mu2={np.float32(0.2)} < {10 ** 400}"),
+], ids=["feller", "feller-float32-kappa", "feller-int64-kappa", "feller-float32-theta", "mu2", "mu2-float32"])
 def test_numpy_float_against_an_int_square_past_the_float_range(inputs, violation):
-    """A rule across inputs compares an np.float64 with an exact int square
-    past the float range as a Python float would, not by an OverflowError."""
+    """A rule across inputs compares a numpy scalar (np.float64, np.float32
+    or np.int64) with an exact int square past the float range as a Python
+    number would, not by an OverflowError."""
     ins, heston = (dataclasses.replace(p, **{k: v for k, v in inputs.items() if hasattr(p, k)})
                    for p in (BASE_INSURANCE, BASE_HESTON))
     with pytest.raises(ValidationError) as exc:
@@ -281,24 +290,24 @@ def _fma_in_atom_order(values, weights):
     return acc
 
 
-# The domain where Dekker's two-product is exact: no magnitude near the
-# overflow of the 2^27 + 1 split and no product whose error term would be
-# subnormal. Signed zeros are in it.
-_FACTOR = st.one_of(
-    st.sampled_from([0.0, -0.0]),
-    st.floats(min_value=1e-100, max_value=1e100),
-    st.floats(min_value=-1e100, max_value=-1e-100),
-)
+# Factors over the whole finite range: subnormals, signed zeros and
+# magnitudes up to the largest float
+_FACTOR = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @given(st.integers(min_value=1, max_value=16).flatmap(
     lambda n: st.tuples(st.lists(_FACTOR, min_size=n, max_size=n),
                         st.lists(_FACTOR, min_size=n, max_size=n))))
+@example(([1e-200, 3.0], [1e-120, 1e-300]))  # subnormal products
+@example(([1e305, -1e305, 1e-10], [1.5, 1.4, 3.0]))  # past 1e300
 @settings(max_examples=400, deadline=None)
 def test_weighted_sum_is_fma_in_atom_order(pair):
     values, weights = pair
+    try:
+        want = _fma_in_atom_order(values, weights)
+    except OverflowError:  # a partial sum past the float range: fma's is inf
+        assume(False)
     got = weighted_sum(values, weights)
-    want = _fma_in_atom_order(values, weights)
     assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
 
 
@@ -310,7 +319,7 @@ def test_weighted_sum_zero_sums_are_positive_zero():
 
 
 def test_weighted_sum_outside_the_domain_does_not_raise():
-    # fsum raises on inf - inf and on a finite sum past the float range
+    # fma returns nan for inf - inf and inf for a sum past the float range
     inf = float("inf")
     assert math.isnan(weighted_sum([-inf, inf], [0.5, 0.5]))
     assert weighted_sum([1e300, 1e300], [1e8, 1e8]) == inf

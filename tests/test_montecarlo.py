@@ -386,6 +386,23 @@ def _batches(model, strategies, n_paths, seed, numpy_loop, **kwargs):
         return simulate_strategies(model, strategies, n_paths, seed, **kwargs)
 
 
+@pytest.mark.parametrize("numpy_loop", [pytest.param(False, marks=needs_cc), True], ids=["c", "numpy"])
+@pytest.mark.parametrize("seed", [7.0, 7.5, np.float64(7.0), "7"], ids=["float", "fraction", "np-float64", "str"])
+def test_non_integer_seed_is_refused_on_both_paths(small_model, seed, numpy_loop):
+    """A seed that is not an integer raises one ValueError before either
+    path runs: the C chunk raised ctypes.ArgumentError, and the numpy loop
+    ran 7.5 as seed 7."""
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        _batches(small_model, [(0.0, 0.0)], 10, seed, numpy_loop)
+
+
+def test_integer_seed_types_are_accepted(small_model):
+    """A bool, an int and a numpy int key the same streams as the int."""
+    want = simulate_paths(small_model, (0.0, 0.0), 10, 1).x_terminal
+    for seed in (True, 1, np.int64(1), np.uint64(1)):
+        assert np.array_equal(simulate_paths(small_model, (0.0, 0.0), 10, seed).x_terminal, want)
+
+
 @needs_cc
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2 ** 64 - 1), st.integers(1, 3 * CHUNK_SIZE), st.integers(1, 4),

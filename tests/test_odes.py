@@ -353,45 +353,26 @@ def _extreme_floats(rnd, k):
 
 
 @needs_cc
-def test_c_fsum_and_weighted_sum_match_python(tmp_path):
-    """The C loop's fsum3 sums three floats as math.fsum does and fails
-    where it raises (inf - inf, an intermediate overflow), and its
-    weighted_sum rounds as model.weighted_sum, on inputs the g2 solves
-    rarely reach; a harness built from the loop's own source."""
+def test_c_weighted_sum_matches_python_weighted_sum(tmp_path):
+    """The C loop's weighted_sum rounds as model.weighted_sum, bit for bit,
+    on inputs the g2 solves rarely reach; a harness built from the loop's
+    own source."""
     import ctypes
 
     harness = tmp_path / "harness.c"
     harness.write_text("#define RIGHT_SIDE(pg, h) 0\n#define PI_BAR(w) 0\n" + odes._G2_C + """
-        int fsum_of(const double *items, double *out) { return fsum3(items, out); }
-        double weighted_sum_of(long n, const double *v, const double *w, double *w_hi, double *w_lo)
-        {
-            for (long i = 1; i < n; i++) {
-                double c = 134217729.0 * w[i]; w_hi[i] = c - (c - w[i]); w_lo[i] = w[i] - w_hi[i];
-            }
-            return weighted_sum(n, v, w, w_hi, w_lo);
-        }
+        double weighted_sum_of(long n, const double *v, const double *w) { return weighted_sum(n, v, w); }
     """, encoding="utf-8")
     subprocess.run([*native.CC, "-o", str(tmp_path / "harness.so"), str(harness), "-lm"], check=True)
     lib = ctypes.CDLL(str(tmp_path / "harness.so"))
     lib.weighted_sum_of.restype = ctypes.c_double
     bits = lambda x: "nan" if math.isnan(x) else struct.pack("d", x)
     rnd = random.Random(21)
-    for _ in range(20000):
-        items = _extreme_floats(rnd, 3)
-        if rnd.random() < 0.3:  # cancels, or nearly
-            items[1] = -items[0] * rnd.choice([1.0, 1.0 + 2 ** -52, 1.0 - 2 ** -53])
-        out = ctypes.c_double()
-        failed = lib.fsum_of((ctypes.c_double * 3)(*items), ctypes.byref(out))
-        try:
-            expected = bits(math.fsum(items))
-        except (ValueError, OverflowError):
-            expected = "raises"
-        assert ("raises" if failed else bits(out.value)) == expected, items
     for _ in range(5000):
         n = rnd.randint(1, 16)
         v = _extreme_floats(rnd, n)
         w = _extreme_floats(rnd, n) if rnd.random() < 0.5 else [rnd.random() for _ in range(n)]
-        arrays = [(ctypes.c_double * n)(*x) for x in (v, w, [0.0] * n, [0.0] * n)]
+        arrays = [(ctypes.c_double * n)(*x) for x in (v, w)]
         assert bits(lib.weighted_sum_of(n, *arrays)) == bits(weighted_sum(v, w)), (v, w)
 
 
