@@ -457,12 +457,11 @@ def estimate_reward(model: ValidatedModel, batch: PathBatch) -> SimulationResult
                 e_mean = float(np.mean(e))
                 ces[i] = x_low - math.log(e_mean) / gamma
                 weights += p * e / (-gamma * e_mean)
-    reward = float(weighted_sum(ces, probs))
     return SimulationResult(
         utility_mean=means,
         utility_se=ses,
         cert_equiv=ces,
-        reward=reward,
+        reward=weighted_sum(ces, probs),
         weights=weights,
     )
 
