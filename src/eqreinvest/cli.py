@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -184,7 +185,11 @@ def _parse_strategy_flag(model, token):
         parts = token[len("const:"):].split(",")
         if len(parts) != 2:
             raise ConfigError(f"const strategy must be const:q,pi, got {token!r}")
-        return (_parse_number(parts[0]), _parse_number(parts[1]))
+        values = [_parse_number(part) for part in parts]
+        for part, value in zip(parts, values):
+            if not abs(value) <= sys.float_info.max:  # also nan, and an int past the float range
+                raise ConfigError(f"const strategy {token!r}: {part.strip()!r} is not a finite number")
+        return tuple(values)
     raise ConfigError(f"unknown strategy {token!r}")
 
 
@@ -308,6 +313,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache  # one parser for every main call of a process; parse_args leaves it as it is
 def build_parser():
     parser = _Parser(
         prog="eqreinvest",

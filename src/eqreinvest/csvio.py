@@ -52,13 +52,15 @@ static const char pairs[] = PAIRS;  /* "00" to "99" */
 
 /* "%.17g" of x into s for zeros, nan (any sign), the infinities and the
    exact path; returns the length, or 0 for any other x. It writes with
-   fixed-size copies, up to 33 bytes from s, past the text's end. */
+   fixed-size copies, up to 33 bytes from s, past the text's end: a '-' at
+   s[0] that a positive x overwrites, and that the caller's next byte
+   overwrites where it returns 0. */
 static int fmt17(double x, char *s)
 {
     u64 bits, m, d, rest, half;
     unsigned __int128 product;
     unsigned high, low;
-    int e, E, shift, keep, i, n = 0;
+    int e, E, shift, keep, i, n;
     char digit[32];  /* the 17 digits, and room for a fixed-size read */
 
     memcpy(&bits, &x, 8);
@@ -66,8 +68,8 @@ static int fmt17(double x, char *s)
         memcpy(s, "nan", 3);
         return 3;
     }
-    if (bits >> 63)
-        s[n++] = '-';
+    s[0] = '-';
+    n = bits >> 63;
     if (isinf(x)) {
         memcpy(s + n, "inf", 3);
         return n + 3;
@@ -95,7 +97,7 @@ static int fmt17(double x, char *s)
     }
     rest = (u64)product & ((1ull << shift) - 1);
     half = 1ull << (shift - 1);
-    d += rest > half || (rest == half && (d & 1));
+    d += rest + (d & 1) > half;  /* half to even: rest < 2^62, no overflow */
     high = d / 100000000;
     low = d % 100000000;
     for (i = 0; i < 4; i++, high /= 100, low /= 100) {
@@ -133,13 +135,22 @@ static int fmt17(double x, char *s)
    of text, NUL-padded. A double off fmt17's path leaves its place empty,
    and its offset in out and its value go to off_at and off_value, their
    count to *n_off. out holds 33 bytes more than the rows. Returns the
-   bytes written. */
+   bytes written.
+
+   slot[c] is NULL, or the zeroed slots of a double column with fewer
+   values than the table has rows, kept from one call to the next: one
+   per inner index where the column varies along it, else one, for the
+   outer index tag[c] (-1 before the first row). A slot holds fmt17's text
+   of its value, 24 bytes, and its length, 0 until a row formats it and
+   for a value off fmt17's path, which is formatted, and reported, on
+   every row. */
 long rows(long ncols, const char *const *base, const long *outer_step, const long *inner_step,
-          const long *width, long inner, long r0, long r1, char *out, long *off_at,
-          double *off_value, long *n_off)
+          const long *width, unsigned char *const *slot, long *tag, long inner, long r0, long r1,
+          char *out, long *off_at, double *off_value, long *n_off)
 {
     long r, c, i, j, w, n = 0, off = 0;
     const char *p;
+    unsigned char *q;
     double x;
     int length;
 
@@ -148,15 +159,27 @@ long rows(long ncols, const char *const *base, const long *outer_step, const lon
     for (r = r0; r < r1 && ncols; r++, j = j + 1 < inner ? j + 1 : (i++, 0)) {
         for (c = 0; c < ncols; c++) {
             p = base[c] + i * outer_step[c] + j * inner_step[c];
+            q = slot[c] ? slot[c] + (inner_step[c] ? 25 * j : 0) : NULL;
+            if (q && !inner_step[c] && tag[c] != i) {  /* a new outer index */
+                tag[c] = i;
+                q[24] = 0;
+            }
             if (width[c]) {
                 for (w = 0; w < width[c] && p[w]; w++)
                     out[n++] = p[w];
+            } else if (q && q[24]) {
+                memcpy(out + n, q, 24);
+                n += q[24];
             } else {
                 memcpy(&x, p, 8);
                 length = fmt17(x, out + n);
                 if (!length) {
                     off_at[off] = n;
                     off_value[off++] = x;
+                }
+                if (q) {
+                    memcpy(q, out + n, 24);
+                    q[24] = length;
                 }
                 n += length;
             }
@@ -184,7 +207,7 @@ def _library():
 
     rows, pointer, long = lib.rows, ctypes.c_void_p, ctypes.c_long
     rows.restype = long
-    rows.argtypes = [long, *[pointer] * 4, long, long, long, *[pointer] * 4]
+    rows.argtypes = [long, *[pointer] * 6, long, long, long, *[pointer] * 4]
 
     def blocks(columns, outer, inner):
         fields = [np.asarray(c, np.float64) if c.dtype.kind == "f" else _text(c) for c in columns]
@@ -192,15 +215,22 @@ def _library():
         outer_step, inner_step = (np.array([f.strides[a] * (f.shape[a] > 1) for f in fields], np.int64)
                                   for a in (0, 1))
         width = np.array([0 if f.dtype.kind == "f" else f.itemsize for f in fields], np.int64)
+        # a float column that broadcasts: its slots, one per value along inner, else one
+        slots = [np.zeros(25 * f.shape[1], np.uint8) if f.dtype.kind == "f" and f.size < outer * inner
+                 else None for f in fields]
+        slot = np.array([0 if s is None else s.ctypes.data for s in slots], np.uintp)
+        tag = np.full(len(fields), -1, np.int64)
         size, count = BLOCK_ROWS, long()
         out = np.empty(size * int(np.where(width, width, 24).sum() + len(fields)) + 33, np.uint8)
         off_at, off_value = np.empty(size * len(fields), np.int64), np.empty(size * len(fields))
 
-        def block(r0):
-            """Rows r0 on as new bytes: out is overwritten by the next block."""
+        def block(r0, alive=(fields, slots)):
+            """Rows r0 on as new bytes: out is overwritten by the next block.
+            alive holds the arrays that base and slot point into."""
             n = rows(len(fields), base.ctypes.data, outer_step.ctypes.data, inner_step.ctypes.data,
-                     width.ctypes.data, inner, r0, min(r0 + size, outer * inner), out.ctypes.data,
-                     off_at.ctypes.data, off_value.ctypes.data, ctypes.byref(count))
+                     width.ctypes.data, slot.ctypes.data, tag.ctypes.data, inner, r0,
+                     min(r0 + size, outer * inner), out.ctypes.data, off_at.ctypes.data,
+                     off_value.ctypes.data, ctypes.byref(count))
             data, at, pieces = memoryview(out)[:n], 0, []
             for k, v in zip(off_at[:count.value].tolist(), off_value[:count.value].tolist()):
                 pieces += [data[at:k], b"%.17g" % v]  # the values off fmt17's path

@@ -1,9 +1,12 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+import eqreinvest
 from eqreinvest.cli import (
     EXIT_ADMISSIBILITY,
     EXIT_BLOWUP,
@@ -163,10 +166,12 @@ def test_threads_below_1_is_exit_1(cfg_path, tmp_path, capsys):
 
 
 def test_simulate_divergence_is_exit_2(cfg_path, tmp_path, capsys):
+    """A finite strategy whose wealth leaves the float range is a blow-up
+    (a non-finite one is refused as input)."""
     argv = ["simulate", "--config", cfg_path, "--out", str(tmp_path / "s"),
-            "--paths", "10", "--strategy", "const:0,inf"]
+            "--paths", "10", "--strategy", "const:1e308,0"]
     assert main(argv) == EXIT_BLOWUP
-    _assert_one_error_line(capsys, "error: non-finite state at step 1 on 10 path(s)")
+    _assert_one_error_line(capsys, "error: non-finite state at step 1018 on 1 path(s)")
 
 
 @pytest.mark.filterwarnings("error")
@@ -303,7 +308,8 @@ def test_simulate_const_strategy(cfg_path, tmp_path):
 
 
 def test_simulate_bad_strategy_is_exit_1(cfg_path, tmp_path, capsys):
-    for strategy, message in (("const:1", "const"), ("const:1/0,0", "'1/0'")):
+    for strategy, message in (("const:1", "const"), ("const:1/0,0", "'1/0'"), ("const:inf,0", "'inf'"),
+                              ("const:0,nan", "'nan'")):
         argv = ["simulate", "--config", cfg_path, "--out", str(tmp_path / "s"),
                 "--paths", "10", "--strategy", strategy]
         assert main(argv) == EXIT_CONFIG
@@ -396,6 +402,31 @@ def test_help_and_version_exit_0(capsys, argv):
         main(argv)
     assert exc.value.code == 0
     assert capsys.readouterr().out
+
+
+def test_main_calls_in_one_process_match_separate_runs(cfg_path, tmp_path, capsys):
+    """main reuses one parser per process: a failing argv, --version and
+    then a good solve, called in turn in this process, give the exit codes,
+    output streams and data files of three separate interpreters."""
+    argvs = [["solve", "--config", cfg_path, "--paths", "10"], ["--version"],
+             ["solve", "--config", cfg_path, "--out"]]
+    src = os.path.dirname(os.path.dirname(eqreinvest.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    codes = []
+    for argv in argvs:
+        try:
+            code = main(argv + [str(tmp_path / "here")] * (argv[-1] == "--out"))
+        except SystemExit as exc:
+            code = exc.code
+        here = capsys.readouterr()
+        apart = subprocess.run([sys.executable, "-m", "eqreinvest.cli", *argv,
+                                *[str(tmp_path / "apart")] * (argv[-1] == "--out")],
+                               env=env, capture_output=True, text=True)
+        assert (code, here.out, here.err) == (apart.returncode, apart.stdout, apart.stderr)
+        codes.append(code)
+    assert codes == [EXIT_CONFIG, EXIT_OK, EXIT_OK]
+    for name in ("g_functions.csv", "strategy.csv", "regime.json"):
+        assert _read(tmp_path / "here" / name) == _read(tmp_path / "apart" / name)
 
 
 def _manifest_with(cfg_path, tmp_path, key, value):

@@ -206,6 +206,27 @@ def test_write_table_row_bytes_equal_fmt_join(tmp_path_factory, writer, table, b
     assert path.read_bytes() == want.encode("utf-8")
 
 
+@needs_cc
+def test_write_table_slots_last_one_table_across_its_blocks(tmp_path):
+    """A float column with fewer values than the table has rows (per inner
+    index, per outer index, a constant) is formatted into slots that later
+    rows copy. In blocks of 7 rows of a 3 x 20 table, with values off
+    fmt17's path among them, the bytes are _fmt_blocks'; a second table of
+    the same shapes and other values finds no slot of the first."""
+    specials = [5e-324, 1e-300, 1e20, -0.0, math.nan, -math.inf]
+    tables = [
+        [np.r_[specials, np.linspace(0.1, 1.4, 14)], np.array([[5e-324], [0.1], [-math.inf]]), 1e-300],
+        [np.r_[np.linspace(-7.0, 6.0, 14), specials[::-1]], np.array([[-0.0], [1e20], [math.nan]]), 0.25],
+    ]
+    path = tmp_path / "slots.csv"
+    with mock.patch.object(csvio, "BLOCK_ROWS", 7):
+        for per_inner, per_outer, constant in tables:
+            columns = [per_inner, per_outer, np.float64(constant), np.arange(60.0).reshape(3, 20) / 7]
+            write_table(path, list("abcd"), columns)
+            want = b"".join(csvio._fmt_blocks([np.atleast_2d(c) for c in columns], 3, 20))
+            assert path.read_bytes() == b"a,b,c,d\n" + want
+
+
 @pytest.mark.parametrize("writer", WRITERS)
 @given(st.lists(st.floats(), min_size=1))
 def test_write_table_float_columns_follow_fmt(tmp_path_factory, writer, xs):
