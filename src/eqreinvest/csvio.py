@@ -8,11 +8,16 @@ row. Every value is printed by fmt, floats as "%.17g". The rows reach
 write_csv as blocks of bytes, BLOCK_ROWS rows each, which it writes to the
 file as they are. They are built in C (_CSV_C): a float64 column is read
 in place through its strides (0 along a broadcast axis), and any other
-column is formatted once by fmt and passed as NUL-padded text. Its fmt17
-prints a double by exact integer arithmetic, locale-free, and reports the
-values off its exact path, which Python prints with "%.17g" into the
-block. Where the library cannot be built or loaded, fmt of each value is
-joined in Python, a block at a time, with the same bytes."""
+column is formatted by fmt, once per value of its array, and passed as
+NUL-padded text. Its fmt17 prints a double by exact integer arithmetic,
+locale-free, and reports the values off its exact path, which Python
+prints with "%.17g" into the block. A float64 column with fewer values
+than the table has rows keeps their texts, for the one table, in 25-byte
+slots: one per inner index for a value per inner index, else one, filled
+again at each outer index. The first row to reach a slot fills it and
+later rows copy it; a value off the exact path is not kept. Where the
+library cannot be built or loaded, fmt of each value is joined in Python,
+a block at a time, with the same bytes."""
 
 from __future__ import annotations
 

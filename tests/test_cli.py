@@ -408,20 +408,21 @@ def test_main_calls_in_one_process_match_separate_runs(cfg_path, tmp_path, capsy
     """main reuses one parser per process: a failing argv, --version and
     then a good solve, called in turn in this process, give the exit codes,
     output streams and data files of three separate interpreters."""
-    argvs = [["solve", "--config", cfg_path, "--paths", "10"], ["--version"],
-             ["solve", "--config", cfg_path, "--out"]]
+    def argvs(out):
+        return [["solve", "--config", cfg_path, "--paths", "10"], ["--version"],
+                ["solve", "--config", cfg_path, "--out", str(tmp_path / out)]]
+
     src = os.path.dirname(os.path.dirname(eqreinvest.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     codes = []
-    for argv in argvs:
+    for here_argv, apart_argv in zip(argvs("here"), argvs("apart")):
         try:
-            code = main(argv + [str(tmp_path / "here")] * (argv[-1] == "--out"))
+            code = main(here_argv)
         except SystemExit as exc:
             code = exc.code
         here = capsys.readouterr()
-        apart = subprocess.run([sys.executable, "-m", "eqreinvest.cli", *argv,
-                                *[str(tmp_path / "apart")] * (argv[-1] == "--out")],
-                               env=env, capture_output=True, text=True)
+        apart = subprocess.run([sys.executable, "-m", "eqreinvest.cli", *apart_argv], env=env,
+                               capture_output=True, text=True)
         assert (code, here.out, here.err) == (apart.returncode, apart.stdout, apart.stderr)
         codes.append(code)
     assert codes == [EXIT_CONFIG, EXIT_OK, EXIT_OK]
